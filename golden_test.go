@@ -54,6 +54,16 @@ func goldenCases() []goldenCase {
 			opts:     cimsa.Options{Seed: 5, Mode: "metropolis", SkipHardware: true},
 			wantHash: 0x9939a0f47b20d9c5, wantLen: 2905,
 		},
+		{
+			// Eleven levels and a leaf level of 6,000 windows: deep enough
+			// for the pooled dispatch to vary its fan-out across levels, and
+			// for the lazily pseudo-read windows to see every noisy epoch.
+			// Captured before the window slabs, lazy reads and hoisted
+			// counter hash.
+			name: "s12000", n: 12000, genSeed: 12001,
+			opts:     cimsa.Options{Seed: 3, SkipHardware: true},
+			wantHash: 0xeea2a3d1655c06a1, wantLen: 158517,
+		},
 	}
 }
 

@@ -209,8 +209,8 @@ func TestWindowSwapDeltaMatchesManualMACs(t *testing.T) {
 func TestWriteBackCleanAtNominal(t *testing.T) {
 	w := makeTestWindow(t)
 	f := noise.NewFabric(1)
-	w.WriteBack(f, 0.2, 6) // corrupt
-	w.WriteBack(f, 0.8, 0) // restore at nominal
+	w.WriteBack(f.At(0.2), 6) // corrupt
+	w.WriteBack(f.At(0.8), 0) // restore at nominal
 	for row := 0; row < w.Rows(); row++ {
 		for col := 0; col < w.Cols(); col++ {
 			if w.Weight(row, col) != w.CleanWeight(row, col) {
@@ -223,7 +223,7 @@ func TestWriteBackCleanAtNominal(t *testing.T) {
 func TestWriteBackInjectsNoiseAtLowVDD(t *testing.T) {
 	w := makeTestWindow(t)
 	f := noise.NewFabric(2)
-	w.WriteBack(f, 0.2, 6)
+	w.WriteBack(f.At(0.2), 6)
 	changed := 0
 	for row := 0; row < w.Rows(); row++ {
 		for col := 0; col < w.Cols(); col++ {
@@ -252,8 +252,8 @@ func TestWriteBackDeterministicPattern(t *testing.T) {
 	w1 := makeTestWindow(t)
 	w2 := makeTestWindow(t)
 	f := noise.NewFabric(3)
-	w1.WriteBack(f, 0.3, 5)
-	w2.WriteBack(f, 0.3, 5)
+	w1.WriteBack(f.At(0.3), 5)
+	w2.WriteBack(f.At(0.3), 5)
 	for row := 0; row < w1.Rows(); row++ {
 		for col := 0; col < w1.Cols(); col++ {
 			if w1.Weight(row, col) != w2.Weight(row, col) {
@@ -275,8 +275,8 @@ func TestNoiseDiffersAcrossWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := noise.NewFabric(4)
-	wa.WriteBack(f, 0.2, 6)
-	wb.WriteBack(f, 0.2, 6)
+	wa.WriteBack(f.At(0.2), 6)
+	wb.WriteBack(f.At(0.2), 6)
 	same := true
 	for row := 0; row < wa.Rows(); row++ {
 		for col := 0; col < wa.Cols(); col++ {
@@ -302,6 +302,21 @@ func TestNewWindowErrors(t *testing.T) {
 	}
 	if _, err := NewWindow(0, [][]float64{{0, 1}, {1, 0}}, [][]float64{{1, 2, 3}}, nil); err == nil {
 		t.Fatal("bad boundary width accepted")
+	}
+	// P = 10 with 5-element neighbours: 200 distances, more than Load's
+	// buffer for the supported P <= 8 holds.
+	block := func(rows, cols int) [][]float64 {
+		b := make([][]float64, rows)
+		for i := range b {
+			b[i] = make([]float64, cols)
+		}
+		return b
+	}
+	if _, err := NewWindow(0, block(10, 10), block(5, 10), block(5, 10)); err == nil {
+		t.Fatal("oversized cluster accepted")
+	}
+	if _, err := NewWindow(0, block(2, 2), block(9, 2), nil); err == nil {
+		t.Fatal("oversized neighbour accepted")
 	}
 }
 
@@ -420,7 +435,7 @@ func TestColumnSumEquivalentToLocalEnergy(t *testing.T) {
 	scratch := make([]uint8, w.Rows())
 	rowsBuf := make([]int, 0, 8)
 	for _, vdd := range []float64{0.8, 0.45, 0.3} {
-		w.WriteBack(f, vdd, 6)
+		w.WriteBack(f.At(vdd), 6)
 		for trial := 0; trial < 50; trial++ {
 			order := r.Perm(3)
 			in := Inputs{Order: order, PrevElem: r.Intn(2), NextElem: r.Intn(3)}
@@ -508,5 +523,134 @@ func TestPhaseStringAndWeights(t *testing.T) {
 	// 10 windows x 15x9 weights each.
 	if got := g.WeightsPerArray(); got != 10*135 {
 		t.Fatalf("weights per array = %d, want 1350", got)
+	}
+}
+
+// countingEpoch counts the pseudo-reads that reach the fabric.
+type countingEpoch struct {
+	noise.Epoch
+	reads int
+}
+
+func (e *countingEpoch) ReadCode(code uint8, baseCellID uint64, nLSB int) uint8 {
+	e.reads++
+	return e.Epoch.ReadCode(code, baseCellID, nLSB)
+}
+
+// TestLazyPseudoReadsMatchEagerSweep checks the lazy write-back against
+// its definition for every fabric: whatever order the compute path
+// reads cells in, each observed code equals an eager pseudo-read of the
+// stored code at that cell's ID, and a new write-back replaces every
+// cached observation.
+func TestLazyPseudoReadsMatchEagerSweep(t *testing.T) {
+	r := rng.New(5)
+	for _, kind := range noise.Kinds() {
+		fab, err := noise.New(kind, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := randomWindow(r, 3, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vdd := range []float64{0.3, 0.42, 0.3, 0.58} {
+			for _, nLSB := range []int{6, 3, 0} {
+				ep := fab.At(vdd)
+				w.WriteBack(ep, nLSB)
+				// Read half the cells through the MAC path, column by
+				// column over random row subsets, then every cell.
+				for col := 0; col < w.Cols(); col++ {
+					var rows []int
+					for row := 0; row < w.Rows(); row++ {
+						if r.Intn(2) == 0 {
+							rows = append(rows, row)
+						}
+					}
+					w.ColumnSum(rows, col)
+				}
+				for row := 0; row < w.Rows(); row++ {
+					for col := 0; col < w.Cols(); col++ {
+						want := w.CleanWeight(row, col)
+						if nLSB > 0 {
+							want = ep.ReadCode(want, noise.CellID(w.Index, row, col, 0), nLSB)
+						}
+						if got := w.Weight(row, col); got != want {
+							t.Fatalf("%s vdd=%v nLSB=%d cell (%d,%d): observed %#02x, eager read %#02x",
+								kind, vdd, nLSB, row, col, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnreadCellsNeverPseudoRead pins the saving the lazy write-back
+// exists for: only cells the compute path reads reach the fabric, once
+// per epoch each.
+func TestUnreadCellsNeverPseudoRead(t *testing.T) {
+	w := makeTestWindow(t)
+	ep := &countingEpoch{Epoch: noise.NewFabric(9).At(0.3)}
+	w.WriteBack(ep, 6)
+	if ep.reads != 0 {
+		t.Fatalf("write-back pseudo-read %d cells up front", ep.reads)
+	}
+	rows := []int{0, 4, 8, 9, 12}
+	first := w.ColumnSum(rows, 2)
+	if ep.reads != len(rows) {
+		t.Fatalf("one MAC over %d rows pseudo-read %d cells", len(rows), ep.reads)
+	}
+	if again := w.ColumnSum(rows, 2); again != first || ep.reads != len(rows) {
+		t.Fatalf("repeated MAC: sum %d vs %d, %d reads (want %d)", again, first, ep.reads, len(rows))
+	}
+	w.WriteBack(ep, 6)
+	w.ColumnSum(rows, 2)
+	if ep.reads != 2*len(rows) {
+		t.Fatalf("new epoch re-read %d cells, want %d", ep.reads-len(rows), len(rows))
+	}
+}
+
+// TestNewWindowsCarveDisjointCells checks that windows sharing the
+// level's slabs never see each other's cells.
+func TestNewWindowsCarveDisjointCells(t *testing.T) {
+	shapes := []Shape{{P: 3, PPrev: 2, PNext: 1}, {P: 1, PPrev: 3, PNext: 2}, {P: 2, PPrev: 1, PNext: 3}}
+	ws := NewWindows(shapes)
+	for i := range ws {
+		w := &ws[i]
+		if w.Index != i || w.Shape != shapes[i] {
+			t.Fatalf("window %d: index %d shape %+v", i, w.Index, w.Shape)
+		}
+		dist := make([]float64, w.Elems()*w.P)
+		for k := range dist {
+			dist[k] = float64(10*i + k%7 + 1)
+		}
+		if err := w.Load(dist); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([][]uint8, len(ws))
+	for i := range ws {
+		w := &ws[i]
+		for row := 0; row < w.Rows(); row++ {
+			for col := 0; col < w.Cols(); col++ {
+				want[i] = append(want[i], w.CleanWeight(row, col))
+			}
+		}
+	}
+	// Reloading one window must leave its neighbours' cells alone.
+	if err := ws[1].Load(make([]float64, ws[1].Elems()*ws[1].P)); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		w := &ws[i]
+		k := 0
+		for row := 0; row < w.Rows(); row++ {
+			for col := 0; col < w.Cols(); col++ {
+				if got := w.CleanWeight(row, col); got != want[i][k] {
+					t.Fatalf("window %d cell (%d,%d) changed to %d when window 1 reloaded", i, row, col, got)
+				}
+				k++
+			}
+		}
 	}
 }

@@ -70,7 +70,7 @@ func TestPropertySwapDeltaInvertsUnderNoise(t *testing.T) {
 		}
 		fab := noise.NewFabric(uint64(seed))
 		vdds := []float64{0.8, 0.46, 0.3}
-		w.WriteBack(fab, vdds[int(vddSel)%3], 6)
+		w.WriteBack(fab.At(vdds[int(vddSel)%3]), 6)
 		order := rr.Perm(p)
 		in := Inputs{Order: order, PrevElem: 0, NextElem: 0}
 		i, j := rr.Intn(p), rr.Intn(p)
@@ -98,7 +98,7 @@ func TestPropertyColumnSumNonNegativeAndBounded(t *testing.T) {
 			return false
 		}
 		fab := noise.NewFabric(uint64(seed) * 3)
-		w.WriteBack(fab, 0.3, 6)
+		w.WriteBack(fab.At(0.3), 6)
 		in := Inputs{Order: rr.Perm(p), PrevElem: rr.Intn(2), NextElem: rr.Intn(2)}
 		rows := w.ActiveRows(in, nil)
 		for col := 0; col < w.Cols(); col++ {

@@ -148,11 +148,15 @@ func Build(cities []geom.Point, s Strategy) (*Hierarchy, error) {
 	if len(cities) < 3 {
 		return nil, fmt.Errorf("cluster: need >= 3 cities, got %d", len(cities))
 	}
-	// Level 0: leaves in Hilbert order.
+	// Level 0: leaves in Hilbert order. Each level's nodes share one
+	// backing array, so a paper-scale build is a handful of allocations
+	// rather than one per node.
 	order := geom.HilbertSort(cities)
+	leaves := make([]Node, len(cities))
 	level := make([]*Node, len(cities))
 	for i, ci := range order {
-		level[i] = &Node{City: ci, Centroid: cities[ci], Leaves: 1}
+		leaves[i] = Node{City: ci, Centroid: cities[ci], Leaves: 1}
+		level[i] = &leaves[i]
 	}
 	h := &Hierarchy{Strategy: s, Levels: [][]*Node{level}}
 	for len(level) > TopThreshold {
@@ -223,6 +227,9 @@ func groupLevel(level []*Node, s Strategy) []*Node {
 		pts[i] = n.Centroid
 	}
 	order := geom.HilbertSort(pts)
+	// sorted is owned by this level: the new clusters' Children slice it
+	// directly (capacity-capped, so an append can never spill into a
+	// sibling's children).
 	sorted := make([]*Node, len(level))
 	for i, oi := range order {
 		sorted[i] = level[oi]
@@ -238,29 +245,28 @@ func groupLevel(level []*Node, s Strategy) []*Node {
 	case Arbitrary:
 		sizes = targetSizes(sorted, arbitraryMaxSize, (len(sorted)+1)/2)
 	}
-	next := make([]*Node, 0, len(sizes))
+	nodes := make([]Node, len(sizes))
+	next := make([]*Node, len(sizes))
 	idx := 0
-	for _, sz := range sizes {
-		children := sorted[idx : idx+sz]
+	for i, sz := range sizes {
+		nodes[i] = parentOf(sorted[idx : idx+sz : idx+sz])
+		next[i] = &nodes[i]
 		idx += sz
-		next = append(next, makeParent(children))
 	}
 	return next
 }
 
-// makeParent creates a cluster node over children.
-func makeParent(children []*Node) *Node {
-	own := make([]*Node, len(children))
-	copy(own, children)
+// parentOf returns the cluster node over children.
+func parentOf(children []*Node) Node {
 	leaves := 0
 	var sx, sy float64
-	for _, c := range own {
+	for _, c := range children {
 		leaves += c.Leaves
 		sx += c.Centroid.X * float64(c.Leaves)
 		sy += c.Centroid.Y * float64(c.Leaves)
 	}
-	return &Node{
-		Children: own,
+	return Node{
+		Children: children,
 		City:     -1,
 		Centroid: geom.Point{X: sx / float64(leaves), Y: sy / float64(leaves)},
 		Leaves:   leaves,
@@ -281,52 +287,68 @@ func fixedSizes(n, p int) []int {
 	return sizes
 }
 
-// dpSegment chooses segment sizes 1..pMax over the sorted elements to
-// minimize total within-segment path length plus lambda per segment
-// (lambda = 0 leaves the count free). Returns the sizes in order.
-func dpSegment(sorted []*Node, pMax int, lambda float64) []int {
+// segmenter chooses segment sizes 1..pMax over one level's sorted
+// elements to minimize total within-segment path length plus lambda per
+// segment (lambda = 0 leaves the count free). The path prefix sums and
+// the DP tables depend only on the elements, so targetSizes' fifty
+// Lagrangian probes share one segmenter and allocate nothing.
+type segmenter struct {
+	pMax int
+	// prefix[i] is the path length from element 0 through element i-1
+	// along the sorted order.
+	prefix []float64
+	// best[i] is the minimum cost to segment the first i elements,
+	// count[i] that optimum's segment count and choice[i] its last
+	// segment's size.
+	best   []float64
+	count  []int
+	choice []int
+}
+
+func newSegmenter(sorted []*Node, pMax int) *segmenter {
 	n := len(sorted)
-	// gap[i] = distance between consecutive sorted centroids i-1, i.
-	gap := make([]float64, n)
-	for i := 1; i < n; i++ {
-		gap[i] = geom.Exact.Dist(sorted[i-1].Centroid, sorted[i].Centroid)
-	}
-	// prefix[i] = sum of gap[1..i].
 	prefix := make([]float64, n+1)
 	for i := 1; i < n; i++ {
-		prefix[i+1] = prefix[i] + gap[i]
+		prefix[i+1] = prefix[i] + geom.Exact.Dist(sorted[i-1].Centroid, sorted[i].Centroid)
 	}
-	// best[i] = min cost to segment the first i elements.
-	best := make([]float64, n+1)
-	choice := make([]int, n+1)
+	return &segmenter{
+		pMax:   pMax,
+		prefix: prefix,
+		best:   make([]float64, n+1),
+		count:  make([]int, n+1),
+		choice: make([]int, n+1),
+	}
+}
+
+// run fills the DP tables for penalty lambda and returns the optimal
+// segment count. Ties go to the smallest last segment.
+func (s *segmenter) run(lambda float64) int {
+	n := len(s.prefix) - 1
+	prefix, best, count, choice := s.prefix, s.best, s.count, s.choice
 	for i := 1; i <= n; i++ {
-		best[i] = math.Inf(1)
-		for sz := 1; sz <= pMax && sz <= i; sz++ {
+		b, c, ch := math.Inf(1), 0, 0
+		for sz := 1; sz <= min(s.pMax, i); sz++ {
 			// Segment covers elements [i-sz, i); its internal path length
 			// is prefix[i] - prefix[i-sz+1].
 			intra := prefix[i] - prefix[i-sz+1]
 			cost := best[i-sz] + intra + lambda
-			if cost < best[i] {
-				best[i] = cost
-				choice[i] = sz
+			if cost < b {
+				b, c, ch = cost, count[i-sz]+1, sz
 			}
 		}
+		best[i], count[i], choice[i] = b, c, ch
 	}
-	// Backtrack.
-	var rev []int
-	for i := n; i > 0; i -= choice[i] {
-		rev = append(rev, choice[i])
-	}
-	sizes := make([]int, len(rev))
-	for i := range rev {
-		sizes[i] = rev[len(rev)-1-i]
-	}
-	return sizes
+	return count[n]
 }
 
-// countSegments runs dpSegment and returns only the segment count.
-func countSegments(sorted []*Node, pMax int, lambda float64) int {
-	return len(dpSegment(sorted, pMax, lambda))
+// sizes backtracks the last run's segment sizes, in order.
+func (s *segmenter) sizes() []int {
+	n := len(s.prefix) - 1
+	sizes := make([]int, s.count[n])
+	for i, k := n, len(sizes)-1; i > 0; i, k = i-s.choice[i], k-1 {
+		sizes[k] = s.choice[i]
+	}
+	return sizes
 }
 
 // targetSizes picks segment sizes 1..maxSize whose count lands near
@@ -339,22 +361,20 @@ func targetSizes(sorted []*Node, maxSize, target int) []int {
 	if target < minPossible {
 		target = minPossible
 	}
+	seg := newSegmenter(sorted, maxSize)
 	// With lambda larger than the total path length, merging always pays,
 	// so the count reaches its minimum; lambda 0 gives all singletons.
-	var total float64
-	for i := 1; i < n; i++ {
-		total += geom.Exact.Dist(sorted[i-1].Centroid, sorted[i].Centroid)
-	}
-	lo, hi := 0.0, total+1
+	lo, hi := 0.0, seg.prefix[n]+1
 	for iter := 0; iter < 50; iter++ {
 		mid := (lo + hi) / 2
-		if countSegments(sorted, maxSize, mid) > target {
+		if seg.run(mid) > target {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return dpSegment(sorted, maxSize, hi)
+	seg.run(hi)
+	return seg.sizes()
 }
 
 // ProvisionedWeights returns the number of 8-bit weights the hardware

@@ -17,7 +17,6 @@ import (
 
 	"cimsa/internal/cim"
 	"cimsa/internal/cluster"
-	"cimsa/internal/device"
 	"cimsa/internal/geom"
 	"cimsa/internal/heuristics"
 	"cimsa/internal/noise"
@@ -425,26 +424,29 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 			return nil, nil, fmt.Errorf("clustered: resume: %w", err)
 		}
 	}
-	// Build the weight windows against the initial neighbour geometry.
-	// On resume the loads were already counted when the level first ran,
-	// and the restored Stats carry them — rebuild without re-counting.
+	// Build the weight windows against the initial neighbour geometry,
+	// all carved from one level's slabs. On resume the loads were already
+	// counted when the level first ran, and the restored Stats carry
+	// them — rebuild without re-counting.
+	shapes := make([]cim.Shape, nc)
 	for ci, cs := range state.clusters {
-		prev := state.clusters[(ci-1+nc)%nc]
-		next := state.clusters[(ci+1)%nc]
-		w, err := cim.NewWindow(ci, centroidCross(cs.node, cs.node),
-			centroidCross(prev.node, cs.node), centroidCross(next.node, cs.node))
-		if err != nil {
-			// Windows are built from validated clusters; failure is a bug.
-			panic(fmt.Sprintf("clustered: window build: %v", err))
+		shapes[ci] = cim.Shape{
+			P:     len(cs.node.Children),
+			PPrev: len(state.clusters[(ci-1+nc)%nc].node.Children),
+			PNext: len(state.clusters[(ci+1)%nc].node.Children),
 		}
-		if o.WeightBits > 0 {
-			w.MaskWeights(o.WeightBits)
-		}
-		cs.window = w
 		if resume == nil {
-			stats.WeightWrites += int64(w.Rows() * w.Cols())
+			stats.WeightWrites += int64(shapes[ci].Rows() * shapes[ci].Cols())
 		}
 	}
+	windows := cim.NewWindows(shapes)
+	for ci, cs := range state.clusters {
+		cs.window = &windows[ci]
+		loadWindow(state, ci, o.WeightBits)
+	}
+	job := &ex.job
+	job.state = state
+	job.opt = &o
 
 	// Fuse the level's dispatch plan once: chromatic phases, grab sizes
 	// and fan-outs are all resolved here (and retuned at write-back
@@ -465,10 +467,6 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 		}
 	}
 	var trace []float64
-	job := &ex.job
-	job.state = state
-	job.level = level
-	job.opt = &o
 	startIter := 0
 	if resume != nil {
 		startIter = resume.iter
@@ -478,14 +476,8 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 			// the clean weights and re-applies the stateless noise, so
 			// this lands bit-identically — without re-counting work the
 			// restored Stats already include.
-			epochStart := startIter - startIter%o.Schedule.EpochIters
-			job.kind = jobRefreshWindows
+			job.setRefresh(startIter - startIter%o.Schedule.EpochIters)
 			job.silent = true
-			if o.Mode == ModeNoisyCIM {
-				job.vdd, job.nLSB = o.Schedule.At(epochStart)
-			} else {
-				job.vdd, job.nLSB = device.NominalVDD, 0
-			}
 			ex.dispatch(job, nc)
 			job.silent = false
 		}
@@ -502,7 +494,6 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 			}
 			return nil, nil, cancelErr
 		}
-		vdd, nLSB := o.Schedule.At(iter)
 		if iter%o.Schedule.EpochIters == 0 {
 			if sn != nil {
 				// Snapshot before the refresh: on resume the loop re-runs
@@ -514,17 +505,7 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 			}
 			// Write-back + pseudo-read epoch; windows are independent, so
 			// the pool sweeps them in parallel.
-			job.kind = jobRefreshWindows
-			if o.Mode == ModeNoisyCIM {
-				job.vdd, job.nLSB = vdd, nLSB
-			} else {
-				// Clean weights for every other mode; the spin-noise
-				// ablation corrupts inputs at proposal time instead. The
-				// device model owns the supply-voltage truth: refreshing at
-				// its nominal V_DD (rather than a copied literal) keeps the
-				// refresh clean even if the technology point changes.
-				job.vdd, job.nLSB = device.NominalVDD, 0
-			}
+			job.setRefresh(iter)
 			ex.runStep(job, &ex.plan.refresh)
 			// Epoch boundary: fold the freshly measured per-item costs
 			// back into the plan's grab/fan sizing (never into results).
@@ -533,10 +514,10 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 		}
 		tFrac := 1 - float64(iter)/float64(iters)
 		job.kind = jobUpdatePhase
-		job.iter = iter
-		job.vdd = vdd
+		job.key = iterKey(o.Seed, level, iter)
 		job.temp = temp * tFrac
 		if o.Mode == ModeNoisySpins {
+			vdd, _ := o.Schedule.At(iter)
 			job.epoch = o.Fabric.At(vdd)
 		}
 		for si := range ex.plan.steps {
@@ -652,44 +633,60 @@ func metropolisTemp(state *levelState) float64 {
 	return sum / float64(count) / 4
 }
 
-// proposalFor derives the swap proposal and the acceptance uniform for
-// one (level, iteration, cluster) from the seed with a SplitMix-style
-// hash. Counter-based derivation makes every cluster's randomness
-// independent of execution order, so parallel and sequential runs are
-// bit-identical.
-func proposalFor(seed uint64, level, iter, ci, p int) (i, j int, u float64) {
-	h := counterHash(seed, uint64(level), uint64(iter), uint64(ci), 0)
+// The swap proposal and acceptance uniform of one (level, iteration,
+// cluster) are derived from the seed by a counter hash: the counters
+// (seed, level, iter, cluster, stream) are folded one at a time into a
+// SplitMix-style state, which the SplitMix64 finalizer then mixes.
+// Counter-based derivation makes every cluster's randomness independent
+// of execution order, so parallel and sequential runs are bit-identical.
+// The fold is sequential, so the state after (seed, level, iter) is
+// shared by every cluster of the iteration: iterKey computes it once per
+// iteration, and proposal folds in only the cluster and the two streams.
+
+// counterInit is the counter hash's initial state.
+const counterInit = uint64(0x9e3779b97f4a7c15)
+
+// counterFold folds one counter into a counter-hash state.
+func counterFold(h, v uint64) uint64 {
+	h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>27
+}
+
+// counterFinish applies the SplitMix64 finalizer to a folded state.
+func counterFinish(h uint64) uint64 {
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// iterKey is the counter-hash state after folding (seed, level, iter).
+func iterKey(seed uint64, level, iter int) uint64 {
+	return counterFold(counterFold(counterFold(counterInit, seed), uint64(level)), uint64(iter))
+}
+
+// proposal derives cluster ci's swap slots i, j (in [0, p)) and
+// acceptance uniform u for the iteration whose iterKey is key.
+func proposal(key uint64, ci, p int) (i, j int, u float64) {
+	hc := counterFold(key, uint64(ci))
+	h := counterFinish(counterFold(hc, 0))
 	i = int(h % uint64(p))
 	j = int((h >> 24) % uint64(p))
-	h2 := counterHash(seed, uint64(level), uint64(iter), uint64(ci), 1)
-	u = float64(h2>>11) / (1 << 53)
+	u = float64(counterFinish(counterFold(hc, 1))>>11) / (1 << 53)
 	return
 }
 
-// counterHash mixes the counters through the SplitMix64 finalizer.
-func counterHash(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-	}
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// updateCluster proposes and (maybe) applies one swap for cluster ci.
-// Returns proposal/acceptance counts (0 or 1 each). It is the worker
-// pool's unit of work: it writes only cluster ci's state and reads only
-// neighbours that are frozen for the current chromatic phase.
-func updateCluster(state *levelState, ci, level, iter int, o *Options, ep noise.Epoch, temp float64) (proposed, accepted int) {
+// updateCluster proposes and (maybe) applies one swap for cluster ci in
+// the iteration whose iterKey is key. Returns proposal/acceptance counts
+// (0 or 1 each). It is the worker pool's unit of work: it writes only
+// cluster ci's state and reads only neighbours that are frozen for the
+// current chromatic phase.
+func updateCluster(state *levelState, ci int, key uint64, o *Options, ep noise.Epoch, temp float64) (proposed, accepted int) {
 	cs := state.clusters[ci]
 	p := len(cs.order)
 	if p < 2 {
 		return 0, 0
 	}
-	i, j, u := proposalFor(o.Seed, level, iter, ci, p)
+	i, j, u := proposal(key, ci, p)
 	if i == j {
 		return 0, 0
 	}
@@ -792,16 +789,29 @@ func chromaticPhases(nc int) [][]int {
 	return phases
 }
 
-// centroidCross returns centroid distances from nb's children (rows) to
-// own's children (cols); nb == own gives the intra block.
-func centroidCross(nb, own *cluster.Node) [][]float64 {
-	out := make([][]float64, len(nb.Children))
-	for m, cm := range nb.Children {
-		row := make([]float64, len(own.Children))
-		for k, ck := range own.Children {
-			row[k] = geom.Exact.Dist(cm.Centroid, ck.Centroid)
+// loadWindow loads cluster ci's weight window from the centroid
+// distances of its own, its previous and its next cluster's children to
+// its own children, then applies the precision ablation's mask.
+func loadWindow(state *levelState, ci, weightBits int) {
+	nc := len(state.clusters)
+	cs := state.clusters[ci]
+	own := cs.node.Children
+	// Room for three blocks of up to 8×8 (cluster sizes are capped at 8);
+	// append moves to the heap should a block ever be larger.
+	var buf [3 * 8 * 8]float64
+	dist := buf[:0]
+	for _, nb := range [3]*cluster.Node{cs.node, state.clusters[(ci-1+nc)%nc].node, state.clusters[(ci+1)%nc].node} {
+		for _, cm := range nb.Children {
+			for _, ck := range own {
+				dist = append(dist, geom.Exact.Dist(cm.Centroid, ck.Centroid))
+			}
 		}
-		out[m] = row
 	}
-	return out
+	if err := cs.window.Load(dist); err != nil {
+		// Windows are built from validated clusters; failure is a bug.
+		panic(fmt.Sprintf("clustered: window build: %v", err))
+	}
+	if weightBits > 0 {
+		cs.window.MaskWeights(weightBits)
+	}
 }

@@ -422,11 +422,52 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
+// referenceCounterHash is the one-shot form of the counter hash: fold
+// every counter, then finalize. iterKey/proposal split it so the shared
+// (seed, level, iter) prefix is folded once per iteration.
+func referenceCounterHash(vals ...uint64) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, v := range vals {
+		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+	}
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
+}
+
+// TestProposalMatchesOneShotHash pins the hoisted derivation to the
+// one-shot counter hash, draw for draw: the proposal stream is what
+// every golden tour depends on.
+func TestProposalMatchesOneShotHash(t *testing.T) {
+	for _, seed := range []uint64{0, 7, 1 << 63, 0xfeedface} {
+		for level := 0; level < 14; level += 3 {
+			for iter := 0; iter < 400; iter += 37 {
+				key := iterKey(seed, level, iter)
+				for ci := 0; ci < 40000; ci += 997 {
+					for _, p := range []int{2, 3, 4, 8} {
+						i, j, u := proposal(key, ci, p)
+						h := referenceCounterHash(seed, uint64(level), uint64(iter), uint64(ci), 0)
+						h2 := referenceCounterHash(seed, uint64(level), uint64(iter), uint64(ci), 1)
+						wi, wj := int(h%uint64(p)), int((h>>24)%uint64(p))
+						wu := float64(h2>>11) / (1 << 53)
+						if i != wi || j != wj || u != wu {
+							t.Fatalf("seed %d level %d iter %d cluster %d p %d: got (%d,%d,%v), one-shot (%d,%d,%v)",
+								seed, level, iter, ci, p, i, j, u, wi, wj, wu)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestProposalForProperties(t *testing.T) {
 	// Proposals must be in range and well spread.
 	counts := make(map[[2]int]int)
 	for iter := 0; iter < 3000; iter++ {
-		i, j, u := proposalFor(7, 2, iter, 5, 4)
+		i, j, u := proposal(iterKey(7, 2, iter), 5, 4)
 		if i < 0 || i >= 4 || j < 0 || j >= 4 {
 			t.Fatalf("proposal out of range: %d,%d", i, j)
 		}
@@ -444,10 +485,11 @@ func TestProposalForProperties(t *testing.T) {
 		}
 	}
 	// Different clusters get different streams.
-	i1, j1, _ := proposalFor(7, 2, 10, 5, 4)
+	key := iterKey(7, 2, 10)
+	i1, j1, _ := proposal(key, 5, 4)
 	same := 0
 	for ci := 0; ci < 50; ci++ {
-		i2, j2, _ := proposalFor(7, 2, 10, ci, 4)
+		i2, j2, _ := proposal(key, ci, 4)
 		if i1 == i2 && j1 == j2 {
 			same++
 		}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cimsa/internal/device"
 	"cimsa/internal/geom"
 	"cimsa/internal/noise"
 )
@@ -14,8 +15,8 @@ import (
 // iteration of every level. The hardware updates all same-phase windows
 // in one cycle; the software analogue must not pay a goroutine spawn or
 // even a channel send per phase (levels × iterations × phases of them
-// per solve) to mimic that. A phase hand-off is an epoch barrier:
-// workers watch an atomic phase counter, spin briefly when work is
+// per solve) to mimic that. A phase hand-off is a generation barrier:
+// workers watch an atomic dispatch generation, spin briefly when work is
 // imminent, and park on a per-worker slot otherwise, so dispatching a
 // phase costs a few atomic stores plus one wake per *engaged* parked
 // worker — and engaging is capped by how many cursor grabs the phase
@@ -107,14 +108,16 @@ const (
 // workers finish, so rewriting its fields between dispatches is
 // race-free).
 type poolJob struct {
-	kind        jobKind
-	state       *levelState
-	phase       []int
-	level, iter int
-	opt         *Options
-	vdd, temp   float64
-	// epoch is the fabric's pre-hoisted pseudo-read pass for the
-	// noisy-spins input corruption (unused by the other modes).
+	kind  jobKind
+	state *levelState
+	phase []int
+	// key is the update iteration's iterKey.
+	key  uint64
+	opt  *Options
+	temp float64
+	// epoch is the fabric's pre-hoisted pseudo-read pass: the refresh
+	// epoch's for a refresh, the iteration's for the noisy-spins input
+	// corruption (unused by the other modes' updates).
 	epoch noise.Epoch
 	// nLSB is the refresh epoch's noisy-LSB count.
 	nLSB int
@@ -128,6 +131,22 @@ type poolJob struct {
 	cursor atomic.Int64
 }
 
+// setRefresh points the job at the write-back epoch that starts at
+// iteration iter. Only the noisy-CIM mode reads its weights through the
+// schedule's reduced supply; every other mode refreshes clean (the
+// spin-noise ablation corrupts inputs at proposal time instead). The
+// device model owns the supply-voltage truth: refreshing at its nominal
+// V_DD (rather than a copied literal) keeps the refresh clean even if
+// the technology point changes.
+func (job *poolJob) setRefresh(iter int) {
+	job.kind = jobRefreshWindows
+	vdd, nLSB := device.NominalVDD, 0
+	if job.opt.Mode == ModeNoisyCIM {
+		vdd, nLSB = job.opt.Schedule.At(iter)
+	}
+	job.epoch, job.nLSB = job.opt.Fabric.At(vdd), nLSB
+}
+
 // parkSlot is one goroutine's parking spot in the barrier. A waiter
 // that exhausts its spin budget publishes parked=true, re-checks the
 // condition it is waiting on, and blocks on wake; a waker transfers a
@@ -136,7 +155,7 @@ type poolJob struct {
 // buffer is empty (the token lands) or a token is already waiting —
 // either way the blocked receive completes. Waiters always re-check
 // their condition after waking, so a stale token (a late waker from a
-// previous epoch) costs one extra loop, never correctness.
+// previous generation) costs one extra loop, never correctness.
 type parkSlot struct {
 	parked atomic.Bool
 	wake   chan struct{}
@@ -194,13 +213,19 @@ type executor struct {
 	shards  []statShard
 	job     poolJob
 
-	// Barrier state. epoch advances once per pooled dispatch; fan is
-	// the engaged background-worker count for the current epoch;
-	// pending counts engaged workers still running. parks[w-1] is
-	// background worker w's slot; dpark is the dispatcher's completion
-	// wait. closed tells workers to exit.
-	epoch   atomic.Uint64
-	fan     atomic.Int32
+	// Barrier state. gen is the published generation: a sequence number
+	// advanced once per pooled dispatch, with that dispatch's fan-out
+	// (its engaged background-worker count) in the low genFanBits. They
+	// share one word so a worker reads a dispatch's sequence number and
+	// fan-out together. Read separately, a worker could pair one
+	// dispatch's sequence number with the next one's fan-out, run the
+	// next dispatch's job under the old number, run it again under the
+	// new one, and so decrement pending twice: the dispatcher then
+	// returns while a worker still runs, or waits forever. pending
+	// counts engaged workers still running. parks[w-1] is background
+	// worker w's slot; dpark is the dispatcher's completion wait. closed
+	// tells workers to exit.
+	gen     atomic.Uint64
 	pending atomic.Int32
 	closed  atomic.Bool
 	parks   []*parkSlot
@@ -228,7 +253,9 @@ type executor struct {
 // goroutine itself acts as worker 0, so a pool of one runs everything
 // inline with no synchronization at all.
 func newExecutor(o Options, n int) *executor {
-	w := o.effectiveWorkers(n)
+	// Every worker count gives the same results, so capping the pool at
+	// what gen's fan-out field can address changes nothing but speed.
+	w := min(o.effectiveWorkers(n), 1<<genFanBits)
 	ex := &executor{workers: w, shards: make([]statShard, w)}
 	ex.run = ex.runJob
 	ex.costNs[jobUpdatePhase] = defaultUpdateCostNs
@@ -246,39 +273,49 @@ func newExecutor(o Options, n int) *executor {
 	return ex
 }
 
+// genFanBits is the width of gen's fan-out field.
+const genFanBits = 16
+
+// publish advances the barrier generation, engaging the first fan
+// background workers. Only the dispatching goroutine writes gen.
+func (ex *executor) publish(fan int32) {
+	seq := ex.gen.Load()>>genFanBits + 1
+	ex.gen.Store(seq<<genFanBits | uint64(fan))
+}
+
 // close releases the background workers. The executor must not be used
-// afterwards. closed is published before the epoch bump, so any worker
-// that observes the new epoch also observes the shutdown.
+// afterwards. closed is published before the generation advances, so
+// any worker that observes the new generation also observes the
+// shutdown.
 func (ex *executor) close() {
 	if len(ex.parks) == 0 {
 		return
 	}
 	ex.closed.Store(true)
-	ex.fan.Store(0)
-	ex.epoch.Add(1)
+	ex.publish(0)
 	for _, s := range ex.parks {
 		s.wakeIfParked()
 	}
 }
 
-// workerLoop is one background worker: wait for the epoch to advance,
-// run a share of the job if engaged, repeat. A worker the dispatch did
-// not engage pays two atomic loads for the epoch — not a scheduler
+// workerLoop is one background worker: wait for the generation to
+// advance, run a share of the job if engaged, repeat. A worker the
+// dispatch did not engage pays two atomic loads — not a scheduler
 // wake-up — and goes straight back to waiting.
 func (ex *executor) workerLoop(w int) {
 	slot := ex.parks[w-1]
 	var seen uint64
 	for {
-		e := ex.epoch.Load()
+		g := ex.gen.Load()
 		if ex.closed.Load() {
 			return
 		}
-		if e == seen {
-			ex.waitEpoch(slot, seen)
+		if g == seen {
+			ex.waitGen(slot, seen)
 			continue
 		}
-		seen = e
-		if int32(w) <= ex.fan.Load() {
+		seen = g
+		if uint64(w) <= g&(1<<genFanBits-1) {
 			ex.run(w, &ex.job)
 			if ex.pending.Add(-1) == 0 {
 				ex.dpark.wakeIfParked()
@@ -287,22 +324,22 @@ func (ex *executor) workerLoop(w int) {
 	}
 }
 
-// waitEpoch blocks worker w until the epoch moves past seen: a bounded
-// yield-and-recheck spin (phases arrive back to back mid-level), then a
-// park on the worker's slot. The parked flag is published before the
-// final epoch re-check, and the dispatcher bumps the epoch before
-// scanning parked flags, so one side always observes the other
-// (standard Dekker ordering under Go's sequentially consistent
-// atomics); a missed-wake sleep cannot happen.
-func (ex *executor) waitEpoch(slot *parkSlot, seen uint64) {
+// waitGen blocks worker w until the generation moves past seen: a
+// bounded yield-and-recheck spin (phases arrive back to back
+// mid-level), then a park on the worker's slot. The parked flag is
+// published before the final generation re-check, and the dispatcher
+// advances the generation before scanning parked flags, so one side
+// always observes the other (standard Dekker ordering under Go's
+// sequentially consistent atomics); a missed-wake sleep cannot happen.
+func (ex *executor) waitGen(slot *parkSlot, seen uint64) {
 	for i := 0; i < spinWait; i++ {
-		if ex.epoch.Load() != seen {
+		if ex.gen.Load() != seen {
 			return
 		}
 		runtime.Gosched()
 	}
 	slot.parked.Store(true)
-	if ex.epoch.Load() != seen || ex.closed.Load() {
+	if ex.gen.Load() != seen || ex.closed.Load() {
 		// Advanced while parking: retract the park, or — if a waker
 		// already won the CAS — consume the token it guaranteed.
 		if !slot.parked.CompareAndSwap(true, false) {
@@ -314,10 +351,10 @@ func (ex *executor) waitEpoch(slot *parkSlot, seen uint64) {
 }
 
 // awaitPending blocks the dispatcher until every engaged worker has
-// finished the current epoch. Completion tokens can be stale — a worker
-// that ended a *previous* epoch may deliver its wake arbitrarily late —
-// so the loop re-checks pending after every wake; the authoritative
-// state is the counter, the token is only a kick.
+// finished the current generation. Completion tokens can be stale — a
+// worker that ended a *previous* generation may deliver its wake
+// arbitrarily late — so the loop re-checks pending after every wake;
+// the authoritative state is the counter, the token is only a kick.
 func (ex *executor) awaitPending() {
 	for {
 		for i := 0; i < spinWait; i++ {
@@ -347,7 +384,7 @@ const (
 	// per-item costs of the reference hardware; only a solve's first
 	// dispatches run on them, every later one uses the measured EMA.
 	defaultUpdateCostNs  = 300
-	defaultRefreshCostNs = 3000
+	defaultRefreshCostNs = 100
 )
 
 // grabFor converts the measured per-item cost of a job kind into a
@@ -359,11 +396,6 @@ func (ex *executor) grabFor(kind jobKind) int64 {
 	}
 	grab := int64(grabTargetNs / cost)
 	var lo, hi int64 = 4, 512
-	if kind == jobRefreshWindows {
-		// A window refresh sweeps rows×cols cells; items are much
-		// heavier than a cluster update.
-		lo, hi = 1, 64
-	}
 	if grab < lo {
 		grab = lo
 	}
@@ -438,8 +470,7 @@ func (ex *executor) runStep(job *poolJob, st *dispatchStep) {
 		return
 	}
 	ex.pending.Store(st.fan)
-	ex.fan.Store(st.fan)
-	ex.epoch.Add(1)
+	ex.publish(st.fan)
 	for i := int32(0); i < st.fan; i++ {
 		ex.parks[i].wakeIfParked()
 	}
@@ -488,13 +519,13 @@ func (ex *executor) runJob(w int, job *poolJob) {
 		switch job.kind {
 		case jobUpdatePhase:
 			for _, ci := range job.phase[start:end] {
-				prop, acc := updateCluster(job.state, ci, job.level, job.iter, job.opt, job.epoch, job.temp)
+				prop, acc := updateCluster(job.state, ci, job.key, job.opt, job.epoch, job.temp)
 				sh.proposed += int64(prop)
 				sh.accepted += int64(acc)
 			}
 		case jobRefreshWindows:
 			for _, cs := range job.state.clusters[start:end] {
-				cs.window.WriteBack(job.opt.Fabric, job.vdd, job.nLSB)
+				cs.window.WriteBack(job.epoch, job.nLSB)
 				if !job.silent {
 					sh.writeBacks++
 					sh.weightWrites += int64(cs.window.Rows() * cs.window.Cols())

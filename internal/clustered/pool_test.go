@@ -1,6 +1,7 @@
 package clustered
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -189,8 +190,8 @@ func TestIdleWorkersNotWoken(t *testing.T) {
 		}
 	}
 
-	// One-grab dispatch: inline, no epoch advance, no wakes anywhere.
-	epochBefore := ex.epoch.Load()
+	// One-grab dispatch: inline, no generation advance, no wakes anywhere.
+	genBefore := ex.gen.Load()
 	items.Store(0)
 	job.phase = make([]int, 5)
 	st = dispatchStep{phase: job.phase, items: 5, grab: 8, fan: 0}
@@ -198,8 +199,8 @@ func TestIdleWorkersNotWoken(t *testing.T) {
 	if got := items.Load(); got != 5 {
 		t.Fatalf("inline dispatch processed %d items, want 5", got)
 	}
-	if e := ex.epoch.Load(); e != epochBefore {
-		t.Fatalf("inline dispatch advanced the epoch %d -> %d", epochBefore, e)
+	if g := ex.gen.Load(); g != genBefore {
+		t.Fatalf("inline dispatch advanced the generation %#x -> %#x", genBefore, g)
 	}
 	if runs[0].Load() != 2 {
 		t.Fatalf("dispatcher ran %d times, want 2", runs[0].Load())
@@ -213,7 +214,62 @@ func TestIdleWorkersNotWoken(t *testing.T) {
 	}
 }
 
-// TestBarrierManyDispatches hammers the epoch barrier with back-to-back
+// TestBarrierRunsEachDispatchOncePerEngagedWorker alternates narrow and
+// wide fan-outs, so workers the narrow dispatches leave out are awake
+// and racing the next wide dispatch's publication. Each background
+// worker must run a dispatch at most once and only if the dispatch
+// engaged it: a worker that paired an old sequence number with a new
+// fan-out would run the wide dispatch twice, and the double decrement
+// of pending would let the dispatcher return while it still ran, or
+// hang the solve for good.
+func TestBarrierRunsEachDispatchOncePerEngagedWorker(t *testing.T) {
+	ex := newExecutor(Options{Workers: 4}, 100)
+	defer ex.close()
+	const rounds = 20000
+	var runs [rounds][4]atomic.Int32
+	var round atomic.Int64
+	ex.run = func(w int, job *poolJob) {
+		runs[round.Load()][w].Add(1)
+		if w == 0 {
+			runtime.Gosched()
+		}
+	}
+	// The dispatches run on their own goroutine so a hung barrier fails
+	// the test instead of stalling it.
+	failure := make(chan string, 1)
+	go func() {
+		job := &ex.job
+		for r := int64(0); r < rounds; r++ {
+			round.Store(r)
+			fan := int32(1)
+			if r%2 == 1 {
+				fan = 3
+			}
+			ex.runStep(job, &dispatchStep{fan: fan})
+			for w := int32(1); w < 4; w++ {
+				want := int32(0)
+				if w <= fan {
+					want = 1
+				}
+				if got := runs[r][w].Load(); got != want {
+					failure <- fmt.Sprintf("dispatch %d (fan %d): worker %d ran %d times, want %d", r, fan, w, got, want)
+					return
+				}
+			}
+		}
+		failure <- ""
+	}()
+	select {
+	case msg := <-failure:
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("barrier hung: a dispatch never saw its engaged workers finish")
+	}
+}
+
+// TestBarrierManyDispatches hammers the generation barrier with back-to-back
 // dispatches at varying fan-outs and checks every item is processed
 // exactly once per dispatch — the invariant the solver's determinism
 // rests on. Run with -race this also audits the barrier's

@@ -1,6 +1,6 @@
 package geom
 
-import "sort"
+import "slices"
 
 // HilbertOrder is the number of bits per coordinate used when mapping
 // points onto the Hilbert curve. 16 bits per axis gives a 2^32-cell grid,
@@ -83,18 +83,19 @@ func HilbertKeys(pts []Point) []uint64 {
 
 // HilbertSort returns the indices of pts sorted by Hilbert-curve order.
 // Ties are broken by the original index so the result is deterministic.
+// pts may hold at most 2^32 points.
 func HilbertSort(pts []Point) []int {
 	keys := HilbertKeys(pts)
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
+	// A key spans 2·HilbertOrder = 32 bits, so packing the index into the
+	// low half makes every value distinct and ordered by (key, index): a
+	// plain integer sort, with no comparator calls or index indirection.
+	for i, k := range keys {
+		keys[i] = k<<32 | uint64(i)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return idx[a] < idx[b]
-	})
+	slices.Sort(keys)
+	idx := make([]int, len(pts))
+	for i, k := range keys {
+		idx[i] = int(uint32(k))
+	}
 	return idx
 }

@@ -52,44 +52,45 @@ func (f *SRAM) Version() string { return "sram/v1" }
 // Rate implements Fabric.
 func (f *SRAM) Rate(vdd float64) float64 { return f.Model.Rate(vdd) }
 
-// At implements Fabric, hoisting the sigmoid-derived vulnerability
-// probability out of the per-cell loop exactly as the *Prob variants do.
+// At implements Fabric, hoisting everything that depends only on the
+// supply and the chip out of the per-cell loop: the sigmoid-derived
+// vulnerability probability, scaled to the hash's 53-bit range, and the
+// seed's contribution to the cell hash.
 func (f *SRAM) At(vdd float64) Epoch {
-	return sramEpoch{f: f, vulnProb: f.VulnProb(vdd)}
+	return sramEpoch{salt: f.salt(), limit: f.VulnProb(vdd) * (1 << 53)}
 }
 
-// sramEpoch is one SRAM pseudo-read pass at a fixed supply.
+// sramEpoch is one SRAM pseudo-read pass at a fixed supply. A read is
+// one cell hash and one compare, bit-identical to CellState: the cell
+// is vulnerable when u53(h) < p, and since both sides scale exactly by
+// 2^53 that is float64(h>>11) < p·2^53 = limit.
 type sramEpoch struct {
-	f        *SRAM
-	vulnProb float64
+	salt  uint64
+	limit float64
 }
 
 // ReadBit implements Epoch.
 func (e sramEpoch) ReadBit(cellID uint64, stored uint8) uint8 {
-	return e.f.ReadBitProb(cellID, stored, e.vulnProb)
+	h := mix64(cellID ^ e.salt)
+	if float64(h>>11) < e.limit {
+		return uint8(h & 1)
+	}
+	return stored
 }
 
-// ReadCode implements Epoch; bit-identical to ApplyToCodeProb.
+// ReadCode implements Epoch.
 func (e sramEpoch) ReadCode(code uint8, baseCellID uint64, nLSB int) uint8 {
-	return e.f.ApplyToCodeProb(code, baseCellID, e.vulnProb, nLSB)
+	return readCodeBits(e, code, baseCellID, nLSB)
 }
 
-// cellHash gives the cell's fabrication fingerprint: 64 stable bits.
-func (f *SRAM) cellHash(cellID uint64) uint64 {
-	x := cellID ^ f.Seed*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
+// salt is the chip seed's contribution to every cell hash.
+func (f *SRAM) salt() uint64 { return f.Seed * 0x9e3779b97f4a7c15 }
 
 // VulnProb returns the probability that a cell is vulnerable at supply
 // vdd. The error rate is over random stored data, so P(vulnerable) is
 // twice the rate, capped at 1. The conversion involves the error-model
-// sigmoid (an exp); hot paths that sweep many cells at one supply should
-// compute it once and use the *Prob variants below.
+// sigmoid (an exp); hot paths that sweep many cells at one supply read
+// through At, which computes it once.
 func (f *SRAM) VulnProb(vdd float64) float64 {
 	p := 2 * f.Model.Rate(vdd)
 	if p > 1 {
@@ -99,36 +100,20 @@ func (f *SRAM) VulnProb(vdd float64) float64 {
 }
 
 // CellState reports whether the cell is vulnerable at supply vdd and
-// which bit value it prefers. Vulnerability is monotone: a cell
-// vulnerable at some V_DD stays vulnerable at every lower V_DD.
+// which bit value it prefers: the definition every read follows. The
+// cell's fabrication fingerprint is 64 stable hash bits; the low bit is
+// its preference and the top 53 a uniform u in [0,1), vulnerable below
+// VulnProb. Vulnerability is therefore monotone: a cell vulnerable at
+// some V_DD stays vulnerable at every lower V_DD.
 func (f *SRAM) CellState(cellID uint64, vdd float64) (vulnerable bool, preferred uint8) {
-	return f.CellStateProb(cellID, f.VulnProb(vdd))
-}
-
-// CellStateProb is CellState with the vulnerability probability already
-// converted from V_DD (see VulnProb).
-func (f *SRAM) CellStateProb(cellID uint64, vulnProb float64) (vulnerable bool, preferred uint8) {
-	h := f.cellHash(cellID)
-	preferred = uint8(h & 1)
-	// 53 uniform bits -> u in [0,1).
-	u := float64(h>>11) / (1 << 53)
-	return u < vulnProb, preferred
+	h := mix64(cellID ^ f.salt())
+	return u53(h) < f.VulnProb(vdd), uint8(h & 1)
 }
 
 // ReadBit returns the value observed when pseudo-reading a cell that was
 // written with `stored` at supply vdd.
 func (f *SRAM) ReadBit(cellID uint64, stored uint8, vdd float64) uint8 {
-	return f.ReadBitProb(cellID, stored, f.VulnProb(vdd))
-}
-
-// ReadBitProb is ReadBit with the vulnerability probability already
-// converted from V_DD (see VulnProb).
-func (f *SRAM) ReadBitProb(cellID uint64, stored uint8, vulnProb float64) uint8 {
-	vulnerable, preferred := f.CellStateProb(cellID, vulnProb)
-	if vulnerable {
-		return preferred
-	}
-	return stored
+	return f.At(vdd).ReadBit(cellID, stored)
 }
 
 // ApplyToCode pseudo-reads an 8-bit weight whose bit b lives in cell
@@ -139,25 +124,7 @@ func (f *SRAM) ApplyToCode(code uint8, baseCellID uint64, vdd float64, nLSB int)
 	if nLSB <= 0 {
 		return code
 	}
-	return f.ApplyToCodeProb(code, baseCellID, f.VulnProb(vdd), nLSB)
-}
-
-// ApplyToCodeProb is ApplyToCode with the vulnerability probability
-// already converted from V_DD (see VulnProb). Write-back epochs sweep
-// every cell of every window at one supply, so they pay the error-model
-// sigmoid once per window instead of once per cell.
-func (f *SRAM) ApplyToCodeProb(code uint8, baseCellID uint64, vulnProb float64, nLSB int) uint8 {
-	if nLSB <= 0 {
-		return code
-	}
-	if nLSB > fixed.Bits {
-		nLSB = fixed.Bits
-	}
-	out := code
-	for b := 0; b < nLSB; b++ {
-		out = fixed.SetBit(out, b, f.ReadBitProb(baseCellID+uint64(b), fixed.Bit(code, b), vulnProb))
-	}
-	return out
+	return f.At(vdd).ReadCode(code, baseCellID, nLSB)
 }
 
 // Cell-identifier packing. Every physical bit in the chip has a stable

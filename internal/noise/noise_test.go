@@ -81,6 +81,28 @@ func TestSpatialNotTemporal(t *testing.T) {
 	}
 }
 
+// TestSRAMEpochFollowsCellState pins the epoch's scaled-integer
+// vulnerability compare to CellState's definition, cell by cell, from
+// supplies where every cell is vulnerable to ones where almost none is.
+func TestSRAMEpochFollowsCellState(t *testing.T) {
+	f := NewFabric(0xfab)
+	for _, vdd := range []float64{0.1, 0.3, 0.42, 0.5, 0.58, 0.7, device.NominalVDD} {
+		ep := f.At(vdd)
+		for id := uint64(0); id < 20000; id += 3 {
+			vulnerable, preferred := f.CellState(id, vdd)
+			for stored := uint8(0); stored < 2; stored++ {
+				want := stored
+				if vulnerable {
+					want = preferred
+				}
+				if got := ep.ReadBit(id, stored); got != want {
+					t.Fatalf("vdd=%v cell %d stored %d: read %d, CellState says %d", vdd, id, stored, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestApplyToCodeNominalIsClean(t *testing.T) {
 	f := NewFabric(6)
 	quickCheck := func(code uint8, base uint64) bool {
