@@ -17,17 +17,36 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"cimsa/internal/experiments"
 )
 
+// steps are the experiment names -run accepts (besides "all"), in the
+// order they run.
+var steps = []string{"fig1", "table1", "fig6", "fig7", "table2", "table3", "speedup", "baselines", "fabrics", "stability", "convergence", "ablations", "relatedwork"}
+
+// parseRun parses the -run list into the set of selected names,
+// rejecting any name that is not "all" or a step.
+func parseRun(list string) (map[string]bool, error) {
+	selected := map[string]bool{}
+	for _, s := range strings.Split(list, ",") {
+		s = strings.TrimSpace(s)
+		if s != "all" && !slices.Contains(steps, s) {
+			return nil, fmt.Errorf("unknown -run name %q (valid: all, %s)", s, strings.Join(steps, ", "))
+		}
+		selected[s] = true
+	}
+	return selected, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cimexperiments: ")
 	var (
-		run     = flag.String("run", "all", "comma list: fig1,table1,fig6,fig7,table2,table3,speedup,baselines,fabrics,stability,convergence,ablations,relatedwork")
+		run     = flag.String("run", "all", "comma list: all,"+strings.Join(steps, ","))
 		scale   = flag.Float64("scale", 1.0, "instance scale in (0,1] for solved workloads")
 		seed    = flag.Uint64("seed", 1, "seed")
 		samples = flag.Int("samples", 1000, "Fig. 6 Monte Carlo samples")
@@ -57,9 +76,9 @@ func main() {
 	}
 
 	cfg := experiments.Config{Seed: *seed, Scale: *scale, MCSamples: *samples, Workers: *workers}
-	selected := map[string]bool{}
-	for _, s := range strings.Split(*run, ",") {
-		selected[strings.TrimSpace(s)] = true
+	selected, err := parseRun(*run)
+	if err != nil {
+		log.Fatal(err)
 	}
 	want := func(name string) bool { return selected["all"] || selected[name] }
 	out := os.Stdout

@@ -434,7 +434,7 @@ func TestQueuedGaugeRaceProbe(t *testing.T) {
 		if i >= minIters && !time.Now().Before(budget) {
 			break
 		}
-		job, err := sched.Submit(tspprob.New(in, cimsa.Options{}))
+		job, err := sched.Submit(serve.Spec{Task: tspprob.New(in, cimsa.Options{})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +491,7 @@ func TestQueuedGaugeNeverNegativeUnderChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				job, err := sched.Submit(tspprob.New(cimsa.GenerateInstance("churn", 10, uint64(w+1)), cimsa.Options{}))
+				job, err := sched.Submit(serve.Spec{Task: tspprob.New(cimsa.GenerateInstance("churn", 10, uint64(w+1)), cimsa.Options{})})
 				if errors.Is(err, serve.ErrQueueFull) {
 					continue
 				}

@@ -256,8 +256,8 @@ func (fr *fleetRun) logf(format string, args ...any) {
 
 // sources builds the batch of job sources. Every job is deterministic
 // from the schedule alone, so its baseline is solvable out of band.
-func (fr *fleetRun) sources() []serve.BatchItem {
-	items := make([]serve.BatchItem, fr.sc.Jobs)
+func (fr *fleetRun) sources() []serve.Spec {
+	items := make([]serve.Spec, fr.sc.Jobs)
 	for i := range items {
 		n := fr.sc.N - 20*i // later jobs shrink a little: mixed sizes
 		src := fmt.Sprintf(
@@ -267,7 +267,7 @@ func (fr *fleetRun) sources() []serve.BatchItem {
 		if err != nil {
 			fr.fatalf("building job %d: %v", i, err)
 		}
-		items[i] = serve.BatchItem{Task: task, Source: json.RawMessage(src)}
+		items[i] = serve.Spec{Task: task, Source: json.RawMessage(src)}
 	}
 	return items
 }
@@ -310,7 +310,7 @@ func (fr *fleetRun) boot(first bool) {
 	fr.srv = serve.NewServer(fr.sched)
 
 	if first {
-		results := fr.sched.SubmitBatch("", fr.sources())
+		results := fr.sched.SubmitBatch(fr.sources())
 		for i, br := range results {
 			if br.Err != nil {
 				fr.fatalf("batch submit job %d: %v", i, br.Err)

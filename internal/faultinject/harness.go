@@ -357,7 +357,7 @@ func (h *Harness) submit(arg int) *trackedJob {
 	task := makeTask(name, kind)
 	h.nextID++
 	tenant := h.pickTenant(arg)
-	job, err := h.sched.SubmitTenant(tenant, task)
+	job, err := h.sched.Submit(serve.Spec{Tenant: tenant, Task: task})
 	switch {
 	case err == nil:
 		tj := &trackedJob{name: name, problem: task.Problem(), tenant: job.Tenant, kind: kind, job: job, phase: phaseQueued}
@@ -396,7 +396,7 @@ func (h *Harness) dupSubmit(arg int) {
 	orig := elig[arg%len(elig)]
 	task := makeTask(orig.name, orig.kind)
 	tenant := h.pickTenant(arg)
-	job, err := h.sched.SubmitTenant(tenant, task)
+	job, err := h.sched.Submit(serve.Spec{Tenant: tenant, Task: task})
 	switch {
 	case err == nil:
 		tj := &trackedJob{
@@ -706,7 +706,7 @@ func (h *Harness) Finish() {
 	if err := h.sched.Shutdown(ctx); err != nil {
 		h.fatalf("idle shutdown returned %v", err)
 	}
-	if _, err := h.sched.Submit(tspprob.New(cimsa.GenerateInstance("late", 10, 1), cimsa.Options{})); !errors.Is(err, serve.ErrShuttingDown) {
+	if _, err := h.sched.Submit(serve.Spec{Task: tspprob.New(cimsa.GenerateInstance("late", 10, 1), cimsa.Options{})}); !errors.Is(err, serve.ErrShuttingDown) {
 		h.fatalf("post-shutdown submit returned %v, want ErrShuttingDown", err)
 	}
 	if got := h.sched.Metrics.Rejected.Load(); got != rejectedBefore {

@@ -51,27 +51,33 @@ func (h *Harness) checkConservation() {
 	if sum := m.Queued.Load() + m.Running.Load() + m.Done.Load() + m.Failed.Load() + m.Canceled.Load(); sum != m.Submitted.Load() {
 		h.fatalf("conservation identity broken: buckets sum to %d, submitted %d", sum, m.Submitted.Load())
 	}
-	h.checkProblemConservation()
-	h.checkTenantConservation()
+	h.checkLabeledConservation("problem", func(tj *trackedJob) string { return tj.problem }, m.Problem, nil)
+	h.checkLabeledConservation("tenant", func(tj *trackedJob) string { return tj.tenant }, m.Tenant, h.tenantRejected)
 }
 
-// checkTenantConservation re-runs the conservation identity on each
-// per-tenant metrics slice: with multi-tenant traffic through one
-// fair scheduler, every lane's labeled counters — including its
-// rejections, which quotas and rate limits now produce per tenant —
-// must balance against the harness's ground truth for that lane alone,
-// and the per-tenant submitted counts must partition the global total.
-func (h *Harness) checkTenantConservation() {
+// checkLabeledConservation re-runs the conservation identity on each
+// labeled metrics slice (per problem type, per tenant): with mixed,
+// multi-tenant traffic through one fair scheduler, every slice must
+// balance against the harness's ground truth for its label alone —
+// including its rejections, which quotas and rate limits produce per
+// tenant (rejected maps label to count; a problem slice never counts
+// one) — and the slices' submitted counts must partition the global
+// total.
+func (h *Harness) checkLabeledConservation(label string, key func(*trackedJob) string, slice func(string) *serve.Counters, rejected map[string]int) {
 	h.t.Helper()
 	type bucket struct {
 		submitted, queued, running, done, failed, canceled int
 	}
 	per := map[string]*bucket{}
+	// A label that only ever got rejected still has a metrics slice.
+	for name := range rejected {
+		per[name] = &bucket{}
+	}
 	for _, tj := range h.jobs {
-		b := per[tj.tenant]
+		b := per[key(tj)]
 		if b == nil {
 			b = &bucket{}
-			per[tj.tenant] = b
+			per[key(tj)] = b
 		}
 		b.submitted++
 		switch tj.phase {
@@ -90,98 +96,30 @@ func (h *Harness) checkTenantConservation() {
 			}
 		}
 	}
-	// A tenant that only ever got rejected still has a metrics slice.
-	for tenant := range h.tenantRejected {
-		if per[tenant] == nil {
-			per[tenant] = &bucket{}
-		}
-	}
-	m := &h.sched.Metrics
 	var partition int64
 	for name, b := range per {
-		tm := m.Tenant(name)
+		c := slice(name)
 		check := func(counter string, got int64, want int) {
 			h.t.Helper()
 			if got != int64(want) {
-				h.fatalf("conservation[tenant %s]: %s = %d, harness ground truth = %d", name, counter, got, want)
+				h.fatalf("conservation[%s %s]: %s = %d, harness ground truth = %d", label, name, counter, got, want)
 			}
 		}
-		check("submitted", tm.Submitted.Load(), b.submitted)
-		check("rejected", tm.Rejected.Load(), h.tenantRejected[name])
-		check("queued", tm.Queued.Load(), b.queued)
-		check("running", tm.Running.Load(), b.running)
-		check("done", tm.Done.Load(), b.done)
-		check("failed", tm.Failed.Load(), b.failed)
-		check("canceled", tm.Canceled.Load(), b.canceled)
-		sum := tm.Queued.Load() + tm.Running.Load() + tm.Done.Load() + tm.Failed.Load() + tm.Canceled.Load()
-		if sum != tm.Submitted.Load() {
-			h.fatalf("conservation[tenant %s] identity broken: buckets sum to %d, submitted %d", name, sum, tm.Submitted.Load())
+		check("submitted", c.Submitted.Load(), b.submitted)
+		check("rejected", c.Rejected.Load(), rejected[name])
+		check("queued", c.Queued.Load(), b.queued)
+		check("running", c.Running.Load(), b.running)
+		check("done", c.Done.Load(), b.done)
+		check("failed", c.Failed.Load(), b.failed)
+		check("canceled", c.Canceled.Load(), b.canceled)
+		sum := c.Queued.Load() + c.Running.Load() + c.Done.Load() + c.Failed.Load() + c.Canceled.Load()
+		if sum != c.Submitted.Load() {
+			h.fatalf("conservation[%s %s] identity broken: buckets sum to %d, submitted %d", label, name, sum, c.Submitted.Load())
 		}
-		partition += tm.Submitted.Load()
+		partition += c.Submitted.Load()
 	}
-	if partition != m.Submitted.Load() {
-		h.fatalf("per-tenant submitted counts sum to %d, global submitted %d", partition, m.Submitted.Load())
-	}
-}
-
-// checkProblemConservation re-runs the conservation identity on each
-// per-problem metrics slice: with mixed traffic through one scheduler,
-// every problem type's labeled counters must balance against the
-// harness's ground truth for that type alone, and the per-problem
-// submitted counts must partition the global total.
-func (h *Harness) checkProblemConservation() {
-	h.t.Helper()
-	type bucket struct {
-		submitted, queued, running, done, failed, canceled int
-	}
-	per := map[string]*bucket{}
-	for _, tj := range h.jobs {
-		b := per[tj.problem]
-		if b == nil {
-			b = &bucket{}
-			per[tj.problem] = b
-		}
-		b.submitted++
-		switch tj.phase {
-		case phaseQueued:
-			b.queued++
-		case phaseRunning:
-			b.running++
-		case phaseTerminal:
-			switch tj.job.Status().State {
-			case serve.StateDone:
-				b.done++
-			case serve.StateFailed:
-				b.failed++
-			case serve.StateCanceled:
-				b.canceled++
-			}
-		}
-	}
-	m := &h.sched.Metrics
-	var partition int64
-	for name, b := range per {
-		pm := m.Problem(name)
-		check := func(counter string, got int64, want int) {
-			h.t.Helper()
-			if got != int64(want) {
-				h.fatalf("conservation[%s]: %s = %d, harness ground truth = %d", name, counter, got, want)
-			}
-		}
-		check("submitted", pm.Submitted.Load(), b.submitted)
-		check("queued", pm.Queued.Load(), b.queued)
-		check("running", pm.Running.Load(), b.running)
-		check("done", pm.Done.Load(), b.done)
-		check("failed", pm.Failed.Load(), b.failed)
-		check("canceled", pm.Canceled.Load(), b.canceled)
-		sum := pm.Queued.Load() + pm.Running.Load() + pm.Done.Load() + pm.Failed.Load() + pm.Canceled.Load()
-		if sum != pm.Submitted.Load() {
-			h.fatalf("conservation[%s] identity broken: buckets sum to %d, submitted %d", name, sum, pm.Submitted.Load())
-		}
-		partition += pm.Submitted.Load()
-	}
-	if partition != m.Submitted.Load() {
-		h.fatalf("per-problem submitted counts sum to %d, global submitted %d", partition, m.Submitted.Load())
+	if global := h.sched.Metrics.Submitted.Load(); partition != global {
+		h.fatalf("per-%s submitted counts sum to %d, global submitted %d", label, partition, global)
 	}
 }
 

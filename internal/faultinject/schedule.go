@@ -437,7 +437,7 @@ func (h *Harness) storm(arg int) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			job, err := h.sched.SubmitTenant(tenants[i], tasks[i])
+			job, err := h.sched.Submit(serve.Spec{Tenant: tenants[i], Task: tasks[i]})
 			switch {
 			case err == nil:
 				h.sched.Cancel(job.ID)

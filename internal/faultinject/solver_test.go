@@ -16,11 +16,11 @@ import (
 // service-level churn that must never perturb a job's own result.
 func solveThroughService(t *testing.T, sched *serve.Scheduler, n int, opts cimsa.Options) *cimsa.Report {
 	t.Helper()
-	sibling, err := sched.Submit(tspprob.New(cimsa.GenerateInstance("sibling", n, 99), opts))
+	sibling, err := sched.Submit(serve.Spec{Task: tspprob.New(cimsa.GenerateInstance("sibling", n, 99), opts)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := sched.Submit(tspprob.New(cimsa.GenerateInstance("det", n, 7), opts))
+	job, err := sched.Submit(serve.Spec{Task: tspprob.New(cimsa.GenerateInstance("det", n, 7), opts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestServiceRestartsMatchDirectSolve(t *testing.T) {
 		defer cancel()
 		_ = sched.Shutdown(ctx)
 	}()
-	job, err := sched.Submit(tspprob.New(cimsa.GenerateInstance("restarts", n, 21), opts))
+	job, err := sched.Submit(serve.Spec{Task: tspprob.New(cimsa.GenerateInstance("restarts", n, 21), opts)})
 	if err != nil {
 		t.Fatal(err)
 	}

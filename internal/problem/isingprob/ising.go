@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"cimsa/internal/anneal"
 	"cimsa/internal/ising"
@@ -277,10 +278,13 @@ func QUBOTaskFromSpec(spec *QUBOSpec, lim problem.Limits) (*Task, error) {
 		}
 		entries = spec.Q
 	}
-	// Accumulate into an upper-triangular view: duplicates sum, and
-	// (i,j)/(j,i) fold together.
+	// Accumulate into an upper-triangular view: duplicates sum (in wire
+	// order), and (i,j)/(j,i) fold together. The off-diagonal entries
+	// are kept sorted by (i, j), so J, H and the objective are summed in
+	// one fixed order: one request always builds the same bits, hashes
+	// the same and hits the result cache.
 	diag := make([]float64, n)
-	offdiag := map[[2]int]float64{}
+	off := make([]quboEntry, 0, len(entries))
 	for _, c := range entries {
 		i, j := c.I, c.J
 		if i == j {
@@ -290,18 +294,33 @@ func QUBOTaskFromSpec(spec *QUBOSpec, lim problem.Limits) (*Task, error) {
 		if i > j {
 			i, j = j, i
 		}
-		offdiag[[2]int{i, j}] += c.V
+		off = append(off, quboEntry{i, j, c.V})
 	}
+	sort.SliceStable(off, func(a, b int) bool {
+		if off[a].i != off[b].i {
+			return off[a].i < off[b].i
+		}
+		return off[a].j < off[b].j
+	})
+	merged := off[:0]
+	for _, e := range off {
+		if k := len(merged) - 1; k >= 0 && merged[k].i == e.i && merged[k].j == e.j {
+			merged[k].v += e.v
+			continue
+		}
+		merged = append(merged, e)
+	}
+	off = merged
 	m := ising.NewModel(n)
-	for ij, v := range offdiag {
-		m.SetJ(ij[0], ij[1], -v/4)
+	for _, e := range off {
+		m.SetJ(e.i, e.j, -e.v/4)
 	}
 	for i := range m.H {
 		m.H[i] = -diag[i] / 2
 	}
-	for ij, v := range offdiag {
-		m.H[ij[0]] -= v / 4
-		m.H[ij[1]] -= v / 4
+	for _, e := range off {
+		m.H[e.i] -= e.v / 4
+		m.H[e.j] -= e.v / 4
 	}
 	if label == "" {
 		label = fmt.Sprintf("qubo%d", n)
@@ -314,7 +333,7 @@ func QUBOTaskFromSpec(spec *QUBOSpec, lim problem.Limits) (*Task, error) {
 		sweeps:    defaultSweeps(spec.Sweeps, algo),
 		seed:      spec.Seed,
 		quboDiag:  diag,
-		quboOff:   offdiag,
+		quboOff:   off,
 	}, nil
 }
 
@@ -363,7 +382,13 @@ type Task struct {
 	// quboDiag/quboOff hold the normalized Q for objective evaluation;
 	// nil for plain ising tasks.
 	quboDiag []float64
-	quboOff  map[[2]int]float64
+	quboOff  []quboEntry
+}
+
+// quboEntry is one folded upper-triangular Q entry (i < j).
+type quboEntry struct {
+	i, j int
+	v    float64
 }
 
 // Problem implements problem.Task.
@@ -518,8 +543,8 @@ func (t *Task) quboValue(bits []int8) float64 {
 	for i, d := range t.quboDiag {
 		v += d * float64(bits[i])
 	}
-	for ij, q := range t.quboOff {
-		v += q * float64(bits[ij[0]]) * float64(bits[ij[1]])
+	for _, e := range t.quboOff {
+		v += e.v * float64(bits[e.i]) * float64(bits[e.j])
 	}
 	return v
 }

@@ -175,6 +175,10 @@ func Names() []string {
 type Hasher struct {
 	problem string
 	h       hash.Hash
+	// buf stages one fixed-width value; a local array passed to the
+	// hash.Hash interface would escape, costing one allocation per
+	// folded value (three per coupling of a large instance).
+	buf [8]byte
 }
 
 // NewHasher starts a hash for one problem type; the type name is part
@@ -191,9 +195,8 @@ func (h *Hasher) Int(v int64) { h.Uint(uint64(v)) }
 
 // Uint folds an unsigned integer into the hash.
 func (h *Hasher) Uint(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.h.Write(b[:])
+	binary.LittleEndian.PutUint64(h.buf[:], v)
+	h.h.Write(h.buf[:])
 }
 
 // Float folds a float64 by bit pattern.

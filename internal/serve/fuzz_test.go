@@ -137,12 +137,12 @@ func FuzzTenantHeader(f *testing.F) {
 	var n atomic.Int64
 	f.Fuzz(func(t *testing.T, tenant string) {
 		_ = n.Add(1)
-		job, err := sched.SubmitTenant(tenant, tspprob.New(in, cimsa.Options{}))
+		job, err := sched.Submit(Spec{Tenant: tenant, Task: tspprob.New(in, cimsa.Options{})})
 		if err != nil {
 			if isRejection(err) {
 				return
 			}
-			t.Fatalf("SubmitTenant(%q): unexpected error %v", tenant, err)
+			t.Fatalf("Submit as tenant %q: unexpected error %v", tenant, err)
 		}
 		if !fairsched.ValidName(job.Tenant) {
 			t.Fatalf("tenant %q admitted onto exposition-unsafe lane %q", tenant, job.Tenant)

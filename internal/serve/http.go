@@ -157,47 +157,73 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeBody decodes one size-capped, strict JSON request body into v,
+// answering 413 or 400 itself when it cannot.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	maxBody := s.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = 32 << 20
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	var req SubmitRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return
+			return false
 		}
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// requestTenant returns the X-Tenant header, which selects the
+// fair-scheduling lane and quota bucket (absent means the default
+// tenant). A syntactically invalid name is answered with a 400 rather
+// than silently folded, so a misconfigured client learns immediately.
+func requestTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
+	tenant := r.Header.Get("X-Tenant")
+	if tenant != "" && !fairsched.ValidName(tenant) {
+		writeError(w, http.StatusBadRequest, "invalid X-Tenant header: need 1..64 bytes of [A-Za-z0-9._-]")
+		return "", false
+	}
+	return tenant, true
+}
+
+// spec builds one submission from a decoded request (the caller sets
+// its tenant): the validated task plus the parsed request re-marshalled
+// as the journal source. The source round-trips through the same
+// decoder at recovery, so a recovered job is built from exactly what
+// this submission parsed.
+func (s *Server) spec(req *SubmitRequest) (Spec, error) {
+	task, err := s.buildTask(req)
+	if err != nil {
+		return Spec{}, err
+	}
+	source, err := json.Marshal(req)
+	if err != nil {
+		return Spec{}, fmt.Errorf("request not journalable: %w", err)
+	}
+	return Spec{Task: task, Source: source}, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	task, err := s.buildTask(&req)
+	sp, err := s.spec(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// The X-Tenant header selects the fair-scheduling lane and quota
-	// bucket; absent means the default tenant. A syntactically invalid
-	// name is rejected outright rather than silently folded, so a
-	// misconfigured client learns immediately.
-	tenant := r.Header.Get("X-Tenant")
-	if tenant != "" && !fairsched.ValidName(tenant) {
-		writeError(w, http.StatusBadRequest, "invalid X-Tenant header: need 1..64 bytes of [A-Za-z0-9._-]")
+	var ok bool
+	if sp.Tenant, ok = requestTenant(w, r); !ok {
 		return
 	}
-	// Re-marshal the parsed request as the journal source: it round-trips
-	// through the same decoder at recovery, and normalizing it here means
-	// a recovered job is built from exactly what this submission parsed.
-	source, err := json.Marshal(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "request not journalable: "+err.Error())
-		return
-	}
-	job, err := s.sched.SubmitTenantSource(tenant, task, source)
+	job, err := s.sched.Submit(sp)
 	var rle *fairsched.RateLimitError
 	switch {
 	case err == nil:
@@ -234,23 +260,10 @@ type BatchEntry struct {
 // status or error in order; the HTTP status is 200 whenever the batch
 // itself was well-formed, even if every item was rejected.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	maxBody := s.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 32 << 20
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	var body struct {
 		Jobs []SubmitRequest `json:"jobs"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	if len(body.Jobs) == 0 {
@@ -261,38 +274,30 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch exceeds %d jobs", maxBatchJobs))
 		return
 	}
-	tenant := r.Header.Get("X-Tenant")
-	if tenant != "" && !fairsched.ValidName(tenant) {
-		writeError(w, http.StatusBadRequest, "invalid X-Tenant header: need 1..64 bytes of [A-Za-z0-9._-]")
+	tenant, ok := requestTenant(w, r)
+	if !ok {
 		return
 	}
 	entries := make([]BatchEntry, len(body.Jobs))
-	items := make([]BatchItem, len(body.Jobs))
+	var specs []Spec
+	var at []int // specs[k] answers body.Jobs[at[k]]
 	for i := range body.Jobs {
-		task, err := s.buildTask(&body.Jobs[i])
+		sp, err := s.spec(&body.Jobs[i])
 		if err != nil {
-			entries[i].Error = err.Error()
+			entries[i].Error = err.Error() // rejected before reaching the scheduler
 			continue
 		}
-		source, err := json.Marshal(&body.Jobs[i])
-		if err != nil {
-			entries[i].Error = "request not journalable: " + err.Error()
-			continue
-		}
-		items[i] = BatchItem{Task: task, Source: source}
+		sp.Tenant = tenant
+		specs = append(specs, sp)
+		at = append(at, i)
 	}
-	results := s.sched.SubmitBatch(tenant, items)
-	for i, res := range results {
-		if entries[i].Error != "" {
-			continue // rejected before reaching the scheduler
+	for k, res := range s.sched.SubmitBatch(specs) {
+		if res.Err != nil {
+			entries[at[k]].Error = res.Err.Error()
+			continue
 		}
-		switch {
-		case res.Err != nil:
-			entries[i].Error = res.Err.Error()
-		case res.Job != nil:
-			st := res.Job.Status()
-			entries[i].Status = &st
-		}
+		st := res.Job.Status()
+		entries[at[k]].Status = &st
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": entries})
 }

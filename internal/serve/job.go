@@ -65,7 +65,21 @@ type Job struct {
 	// identity); set at submission, immutable afterwards.
 	Tenant string
 
-	task problem.Task
+	// problem, label and size describe the task for Status and the
+	// counters; captured at submission, immutable afterwards, so
+	// neither needs the task once the job settles.
+	problem string
+	label   string
+	size    int
+
+	// task and source are guarded by mu: set at submission and dropped
+	// when the job settles, so a finished job kept for its TTL does not
+	// pin its instance. source is the journalable request body (nil when
+	// the submission carried none); the fleet dispatcher ships it to
+	// whichever worker claims the job, so a remote node rebuilds exactly
+	// the task this scheduler admitted.
+	task   problem.Task
+	source json.RawMessage
 
 	// ctx is the solve's context; cancel aborts it (set at creation,
 	// immutable afterwards).
@@ -82,12 +96,6 @@ type Job struct {
 	// journaled marks a job with a live journal record to retire when it
 	// reaches a terminal state (set at submission, immutable afterwards).
 	journaled bool
-
-	// source is the job's journalable request body (nil when the
-	// submission carried none); set at submission, immutable afterwards.
-	// The fleet dispatcher ships it to whichever worker claims the job,
-	// so a remote node rebuilds exactly the task this scheduler admitted.
-	source json.RawMessage
 
 	mu        sync.Mutex
 	state     State
@@ -143,11 +151,11 @@ func (j *Job) Status() Status {
 	defer j.mu.Unlock()
 	st := Status{
 		ID:        j.ID,
-		Problem:   j.task.Problem(),
+		Problem:   j.problem,
 		Tenant:    j.Tenant,
 		State:     j.state,
-		Instance:  j.task.Label(),
-		N:         j.task.Size(),
+		Instance:  j.label,
+		N:         j.size,
 		Submitted: j.submitted,
 		Cached:    j.cached,
 	}
@@ -177,44 +185,21 @@ func (j *Job) Result() *problem.Result {
 	return j.result
 }
 
-// Task returns the job's validated task.
-func (j *Job) Task() problem.Task { return j.task }
-
-// publish appends an event to the replay buffer and fans it out to the
-// live subscribers. Slow subscribers lose events rather than stalling
-// the solve (their channel send is non-blocking); the replay buffer
-// keeps the most recent maxReplayEvents.
-func (j *Job) publish(typ string, progress *problem.Progress, length float64, errMsg string) {
-	limit := j.replayLimit
-	if limit <= 0 {
-		limit = maxReplayEvents
-	}
+// publish appends a progress event to the replay buffer and fans it
+// out to the live subscribers. Slow subscribers lose events rather than
+// stalling the solve (their channel send is non-blocking). A progress
+// report that arrives after the job settled is dropped: the terminal
+// event stays last.
+func (j *Job) publish(progress *problem.Progress) {
 	j.mu.Lock()
-	j.seq++
-	ev := Event{Type: typ, Seq: j.seq, Job: j.ID, Progress: progress, Length: length, Error: errMsg}
-	j.events = append(j.events, ev)
-	if len(j.events) > limit {
-		drop := len(j.events) - limit
-		j.events = append(j.events[:0], j.events[drop:]...)
-		j.evicted += drop
+	if j.state.Terminal() {
+		j.mu.Unlock()
+		return
 	}
+	ev := j.appendLocked(Event{Type: "progress", Progress: progress})
 	subs := make([]chan Event, 0, len(j.subs))
 	for ch := range j.subs {
 		subs = append(subs, ch)
-	}
-	terminal := State("")
-	switch typ {
-	case "done":
-		terminal = StateDone
-	case "failed":
-		terminal = StateFailed
-	case "canceled":
-		terminal = StateCanceled
-	}
-	if terminal != "" {
-		// Terminal event: detach every subscriber; each channel is closed
-		// after its final send so streams end after draining.
-		j.subs = nil
 	}
 	j.mu.Unlock()
 	for _, ch := range subs {
@@ -222,10 +207,77 @@ func (j *Job) publish(typ string, progress *problem.Progress, length float64, er
 		case ch <- ev:
 		default:
 		}
-		if terminal != "" {
-			close(ch)
-		}
 	}
+}
+
+// outcome is how a job settles: its terminal state plus the result
+// (done) or error (failed, canceled), and whether the result came from
+// the cache.
+type outcome struct {
+	state  State
+	result *problem.Result
+	err    error
+	cached bool
+}
+
+// settle moves the job from state from to its terminal outcome and
+// appends the terminal event in one critical section, so a Subscribe
+// sees either a live job or a terminal job whose replay ends with its
+// terminal event — never a closed stream without one. Each live
+// subscriber gets the terminal event as its last send, then its channel
+// is closed. The job drops its task and source. It reports false,
+// changing nothing, when the job has left state from (a concurrent
+// settle won).
+func (j *Job) settle(from State, out outcome, now, expires time.Time) bool {
+	j.mu.Lock()
+	if j.state != from {
+		j.mu.Unlock()
+		return false
+	}
+	j.state = out.state
+	j.result = out.result
+	j.err = out.err
+	j.cached = out.cached
+	j.finished = now
+	j.expires = expires
+	j.task, j.source = nil, nil
+	ev := Event{Type: string(out.state)}
+	switch out.state {
+	case StateDone:
+		ev.Length = out.result.Objective
+	case StateFailed:
+		ev.Error = out.err.Error()
+	}
+	ev = j.appendLocked(ev)
+	subs := j.subs
+	j.subs = nil
+	j.mu.Unlock()
+	for ch := range subs {
+		select {
+		case ch <- ev:
+		default:
+		}
+		close(ch)
+	}
+	return true
+}
+
+// appendLocked numbers ev, stores it in the replay buffer (evicting the
+// oldest beyond the replay limit) and returns it; j.mu must be held.
+func (j *Job) appendLocked(ev Event) Event {
+	limit := j.replayLimit
+	if limit <= 0 {
+		limit = maxReplayEvents
+	}
+	j.seq++
+	ev.Seq, ev.Job = j.seq, j.ID
+	j.events = append(j.events, ev)
+	if len(j.events) > limit {
+		drop := len(j.events) - limit
+		j.events = append(j.events[:0], j.events[drop:]...)
+		j.evicted += drop
+	}
+	return ev
 }
 
 // Subscribe returns the replayable history, the number of events

@@ -225,7 +225,7 @@ func (j *Journal) append(rec journalRecord) error {
 // Submitted records an accepted job with its canonical tenant, problem
 // type and original request body.
 func (j *Journal) Submitted(id, tenant string, submitted time.Time, problem string, request json.RawMessage) error {
-	return j.append(journalRecord{Op: "submit", ID: id, Problem: problem, Tenant: tenant, Submitted: submitted, Request: request})
+	return j.SubmittedBatch([]SubmitRecord{{ID: id, Tenant: tenant, Problem: problem, Submitted: submitted, Request: request}})
 }
 
 // Finished retires a job that reached a terminal state (done, failed

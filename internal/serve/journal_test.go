@@ -127,7 +127,7 @@ func TestSchedulerRetiresJournaledJobs(t *testing.T) {
 	})
 	defer s.Shutdown(context.Background())
 	in := cimsa.GenerateInstance("retire", 50, 1)
-	job, err := s.SubmitSource(tspprob.New(in, cimsa.Options{SkipHardware: true}), jobRequest(t, 50))
+	job, err := s.Submit(Spec{Task: tspprob.New(in, cimsa.Options{SkipHardware: true}), Source: jobRequest(t, 50)})
 	if err != nil {
 		t.Fatal(err)
 	}

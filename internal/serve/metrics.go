@@ -24,17 +24,10 @@ import (
 // (not labeled series of the old names) so sum() over any one family
 // never double-counts.
 type Metrics struct {
-	Submitted atomic.Int64 // jobs accepted into the queue
-	// Rejected counts every backpressure refusal (HTTP 429): global
-	// queue full, tenant max_queued quota, and tenant rate limit.
-	Rejected atomic.Int64
+	// Counters are the global job counters (cimserve_jobs_*).
+	Counters
 	// RateLimited is the token-bucket slice of Rejected.
 	RateLimited atomic.Int64
-	Queued      atomic.Int64 // gauge: jobs waiting for a slot
-	Running     atomic.Int64 // gauge: jobs occupying a solver slot
-	Done        atomic.Int64 // jobs finished successfully
-	Failed      atomic.Int64 // jobs finished with an error
-	Canceled    atomic.Int64 // jobs canceled (queued or running)
 
 	CheckpointsWritten atomic.Int64 // durable solver snapshots written
 	Resumes            atomic.Int64 // solves continued from a checkpoint
@@ -62,38 +55,90 @@ type Metrics struct {
 	solveNanos atomic.Int64
 	iterations atomic.Int64
 
-	pmu        sync.Mutex
-	perProblem map[string]*ProblemMetrics
-
-	tmu       sync.Mutex
-	perTenant map[string]*TenantMetrics
+	// problems and tenants are the labeled slices of the job counters.
+	// Tenants are always accounted by their canonical lane name
+	// (fairsched folds invalid or over-budget names into the default
+	// lane), so label cardinality is bounded by the tenant budget, not
+	// by hostile header churn.
+	problems labeled[Counters]
+	tenants  labeled[Counters]
 }
 
-// ProblemMetrics is one problem type's slice of the job counters.
-type ProblemMetrics struct {
-	Submitted atomic.Int64
-	Queued    atomic.Int64 // gauge
-	Running   atomic.Int64 // gauge
-	Done      atomic.Int64
-	Failed    atomic.Int64
-	Canceled  atomic.Int64
-}
+// Counters is one slice of the job counters: the global totals
+// Metrics embeds, or one problem type's or one tenant's share. Every
+// admitted job sits in exactly one of Queued, Running, Done, Failed and
+// Canceled, so those sum to Submitted.
+type Counters struct {
+	Submitted atomic.Int64 // jobs accepted into the queue
+	// Rejected counts every backpressure refusal (HTTP 429): global
+	// queue full, tenant max_queued quota, and tenant rate limit. A
+	// refused job never joins a problem type's books, so problem slices
+	// keep it at zero.
+	Rejected atomic.Int64
+	Queued   atomic.Int64 // gauge: jobs waiting for a slot
+	Running  atomic.Int64 // gauge: jobs occupying a solver slot
+	Done     atomic.Int64 // jobs finished successfully
+	Failed   atomic.Int64 // jobs finished with an error
+	Canceled atomic.Int64 // jobs canceled (queued or running)
 
-// TenantMetrics is one tenant's slice of the job counters plus its
-// submit→dispatch latency histogram. Tenants are always accounted by
-// their canonical lane name (fairsched folds invalid or over-budget
-// names into the default lane), so label cardinality is bounded by the
-// tenant budget, not by hostile header churn.
-type TenantMetrics struct {
-	Submitted atomic.Int64
-	Rejected  atomic.Int64 // this tenant's slice of Metrics.Rejected
-	Queued    atomic.Int64 // gauge
-	Running   atomic.Int64 // gauge
-	Done      atomic.Int64
-	Failed    atomic.Int64
-	Canceled  atomic.Int64
-
+	// queueWait is the submit→dispatch latency histogram, observed on
+	// tenant slices only.
 	queueWait waitHist
+}
+
+// in returns the gauge or terminal counter that holds jobs in state st.
+func (c *Counters) in(st State) *atomic.Int64 {
+	switch st {
+	case StateQueued:
+		return &c.Queued
+	case StateRunning:
+		return &c.Running
+	case StateDone:
+		return &c.Done
+	case StateFailed:
+		return &c.Failed
+	default:
+		return &c.Canceled
+	}
+}
+
+// labeled is a set of per-label values (one per problem type or
+// tenant), each created on first use; pointers are stable for the
+// set's lifetime.
+type labeled[T any] struct {
+	mu sync.Mutex
+	m  map[string]*T
+}
+
+func (l *labeled[T]) get(name string) *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.m == nil {
+		l.m = map[string]*T{}
+	}
+	v := l.m[name]
+	if v == nil {
+		v = new(T)
+		l.m[name] = v
+	}
+	return v
+}
+
+// snapshot returns the label names, sorted for a stable exposition
+// order, and their values.
+func (l *labeled[T]) snapshot() ([]string, []*T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	names := make([]string, 0, len(l.m))
+	for n := range l.m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	vals := make([]*T, len(names))
+	for i, n := range names {
+		vals[i] = l.m[n]
+	}
+	return names, vals
 }
 
 // queueWaitBuckets are the cimserve_queue_wait_seconds upper bounds; a
@@ -125,63 +170,36 @@ func (h *waitHist) observe(d time.Duration) {
 	h.count.Add(1)
 }
 
-// Problem returns the counters for one problem type, creating them on
-// first use. The returned pointer is stable for the Metrics' lifetime.
-func (m *Metrics) Problem(name string) *ProblemMetrics {
-	m.pmu.Lock()
-	defer m.pmu.Unlock()
-	if m.perProblem == nil {
-		m.perProblem = map[string]*ProblemMetrics{}
+// Problem returns one problem type's counters, creating them on first
+// use.
+func (m *Metrics) Problem(name string) *Counters { return m.problems.get(name) }
+
+// Tenant returns one canonical tenant lane's counters, creating them on
+// first use.
+func (m *Metrics) Tenant(name string) *Counters { return m.tenants.get(name) }
+
+// move records one job state change in the global, problem and tenant
+// counters at once; from "" is a new submission. This is the only
+// place the job counters of admitted jobs change.
+func (m *Metrics) move(problem, tenant string, from, to State) {
+	for _, c := range [...]*Counters{&m.Counters, m.Problem(problem), m.Tenant(tenant)} {
+		if from == "" {
+			c.Submitted.Add(1)
+		} else {
+			c.in(from).Add(-1)
+		}
+		c.in(to).Add(1)
 	}
-	pm := m.perProblem[name]
-	if pm == nil {
-		pm = &ProblemMetrics{}
-		m.perProblem[name] = pm
-	}
-	return pm
 }
 
-// problemNames snapshots the labeled problem types, sorted for a
-// stable exposition order.
-func (m *Metrics) problemNames() []string {
-	m.pmu.Lock()
-	defer m.pmu.Unlock()
-	names := make([]string, 0, len(m.perProblem))
-	for n := range m.perProblem {
-		names = append(names, n)
+// reject records one backpressure refusal in the global and tenant
+// counters.
+func (m *Metrics) reject(tenant string, rateLimited bool) {
+	m.Rejected.Add(1)
+	m.Tenant(tenant).Rejected.Add(1)
+	if rateLimited {
+		m.RateLimited.Add(1)
 	}
-	sort.Strings(names)
-	return names
-}
-
-// Tenant returns the counters for one canonical tenant lane, creating
-// them on first use. The returned pointer is stable for the Metrics'
-// lifetime.
-func (m *Metrics) Tenant(name string) *TenantMetrics {
-	m.tmu.Lock()
-	defer m.tmu.Unlock()
-	if m.perTenant == nil {
-		m.perTenant = map[string]*TenantMetrics{}
-	}
-	tm := m.perTenant[name]
-	if tm == nil {
-		tm = &TenantMetrics{}
-		m.perTenant[name] = tm
-	}
-	return tm
-}
-
-// tenantNames snapshots the labeled tenants, sorted for a stable
-// exposition order.
-func (m *Metrics) tenantNames() []string {
-	m.tmu.Lock()
-	defer m.tmu.Unlock()
-	names := make([]string, 0, len(m.perTenant))
-	for n := range m.perTenant {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ObserveSolve records a completed solve's latency and iteration count.
@@ -194,18 +212,85 @@ func (m *Metrics) ObserveSolve(nanos int64, iterations int) {
 // tenant (cache-served jobs observe submit→completion: they leave the
 // queue without ever occupying a slot).
 func (m *Metrics) ObserveQueueWait(tenant string, d time.Duration) {
-	m.Tenant(tenant).queueWait.observe(d)
+	m.tenants.get(tenant).queueWait.observe(d)
+}
+
+// jobFamilies are the labeled job counter families, emitted as
+// cimserve_<label>_jobs_<suffix> with help "<help>, by <what>.".
+// Rejections are split by tenant only.
+var jobFamilies = []struct {
+	suffix, kind, help string
+	tenantOnly         bool
+	v                  func(*Counters) int64
+}{
+	{"submitted_total", "counter", "Jobs accepted into the queue", false, func(c *Counters) int64 { return c.Submitted.Load() }},
+	{"rejected_total", "counter", "Jobs refused with backpressure", true, func(c *Counters) int64 { return c.Rejected.Load() }},
+	{"queued", "gauge", "Jobs currently waiting for a solver slot", false, func(c *Counters) int64 { return c.Queued.Load() }},
+	{"running", "gauge", "Jobs currently occupying a solver slot", false, func(c *Counters) int64 { return c.Running.Load() }},
+	{"done_total", "counter", "Jobs finished successfully", false, func(c *Counters) int64 { return c.Done.Load() }},
+	{"failed_total", "counter", "Jobs finished with a solver error", false, func(c *Counters) int64 { return c.Failed.Load() }},
+	{"canceled_total", "counter", "Jobs canceled while queued or running", false, func(c *Counters) int64 { return c.Canceled.Load() }},
+}
+
+// family is one labeled metric family; v reads a series' value.
+type family[T any] struct {
+	name, kind, help string
+	v                func(T) int64
+}
+
+// jobFamiliesFor instantiates jobFamilies for one label; tenant says
+// whether the tenant-only families are included.
+func jobFamiliesFor(label, what string, tenant bool) []family[*Counters] {
+	var fams []family[*Counters]
+	for _, f := range jobFamilies {
+		if f.tenantOnly && !tenant {
+			continue
+		}
+		fams = append(fams, family[*Counters]{"cimserve_" + label + "_jobs_" + f.suffix, f.kind, f.help + ", by " + what + ".", f.v})
+	}
+	return fams
+}
+
+// expo writes exposition text, counting bytes and keeping the first
+// error (every later write is skipped).
+type expo struct {
+	w   io.Writer
+	n   int64
+	err error
+}
+
+func (e *expo) printf(format string, args ...any) {
+	if e.err != nil {
+		return
+	}
+	c, err := fmt.Fprintf(e.w, format, args...)
+	e.n += int64(c)
+	e.err = err
+}
+
+// metric emits one unlabeled metric with its HELP and TYPE lines.
+func (e *expo) metric(name, kind, help string, v float64) {
+	e.printf("# HELP %s %s\n# TYPE %s %s\n%s %s\n", name, help, name, kind, name, formatMetric(v))
+}
+
+// families emits labeled families: each family's HELP and TYPE lines,
+// then one series per label value (names[i] labels vals[i]). Nothing is
+// written when there are no label values.
+func families[T any](e *expo, label string, names []string, vals []T, fams []family[T]) {
+	if len(names) == 0 {
+		return
+	}
+	for _, f := range fams {
+		e.printf("# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+		for i, name := range names {
+			e.printf("%s{%s=%q} %s\n", f.name, label, name, formatMetric(float64(f.v(vals[i]))))
+		}
+	}
 }
 
 // WriteTo emits the Prometheus text format.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	emit := func(name, kind, help string, v float64) error {
-		c, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
-			name, help, name, kind, name, formatMetric(v))
-		n += int64(c)
-		return err
-	}
+	e := &expo{w: w}
 	secs := float64(m.solveNanos.Load()) / 1e9
 	iters := float64(m.iterations.Load())
 	ips := 0.0
@@ -241,130 +326,44 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"cimserve_solve_iterations_total", "counter", "Annealing iterations performed by completed solves.", iters},
 		{"cimserve_solve_iterations_per_second", "gauge", "Aggregate annealing throughput over completed solves.", ips},
 	} {
-		if err := emit(row.name, row.kind, row.help, row.v); err != nil {
-			return n, err
-		}
+		e.metric(row.name, row.kind, row.help, row.v)
 	}
-	names := m.problemNames()
+	names, vals := m.problems.snapshot()
+	families(e, "problem", names, vals, jobFamiliesFor("problem", "problem type", false))
+	names, vals = m.tenants.snapshot()
+	families(e, "tenant", names, vals, jobFamiliesFor("tenant", "tenant", true))
 	if len(names) > 0 {
-		for _, fam := range []struct {
-			name, kind, help string
-			v                func(*ProblemMetrics) int64
-		}{
-			{"cimserve_problem_jobs_submitted_total", "counter", "Jobs accepted into the queue, by problem type.", func(p *ProblemMetrics) int64 { return p.Submitted.Load() }},
-			{"cimserve_problem_jobs_queued", "gauge", "Jobs currently waiting for a solver slot, by problem type.", func(p *ProblemMetrics) int64 { return p.Queued.Load() }},
-			{"cimserve_problem_jobs_running", "gauge", "Jobs currently occupying a solver slot, by problem type.", func(p *ProblemMetrics) int64 { return p.Running.Load() }},
-			{"cimserve_problem_jobs_done_total", "counter", "Jobs finished successfully, by problem type.", func(p *ProblemMetrics) int64 { return p.Done.Load() }},
-			{"cimserve_problem_jobs_failed_total", "counter", "Jobs finished with a solver error, by problem type.", func(p *ProblemMetrics) int64 { return p.Failed.Load() }},
-			{"cimserve_problem_jobs_canceled_total", "counter", "Jobs canceled while queued or running, by problem type.", func(p *ProblemMetrics) int64 { return p.Canceled.Load() }},
-		} {
-			c, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.kind)
-			n += int64(c)
-			if err != nil {
-				return n, err
-			}
-			for _, name := range names {
-				c, err := fmt.Fprintf(w, "%s{problem=%q} %s\n", fam.name, name, formatMetric(float64(fam.v(m.Problem(name)))))
-				n += int64(c)
-				if err != nil {
-					return n, err
-				}
-			}
-		}
-	}
-	tenants := m.tenantNames()
-	if len(tenants) > 0 {
-		for _, fam := range []struct {
-			name, kind, help string
-			v                func(*TenantMetrics) int64
-		}{
-			{"cimserve_tenant_jobs_submitted_total", "counter", "Jobs accepted into the queue, by tenant.", func(t *TenantMetrics) int64 { return t.Submitted.Load() }},
-			{"cimserve_tenant_jobs_rejected_total", "counter", "Jobs refused with backpressure, by tenant.", func(t *TenantMetrics) int64 { return t.Rejected.Load() }},
-			{"cimserve_tenant_jobs_queued", "gauge", "Jobs currently waiting for a solver slot, by tenant.", func(t *TenantMetrics) int64 { return t.Queued.Load() }},
-			{"cimserve_tenant_jobs_running", "gauge", "Jobs currently occupying a solver slot, by tenant.", func(t *TenantMetrics) int64 { return t.Running.Load() }},
-			{"cimserve_tenant_jobs_done_total", "counter", "Jobs finished successfully, by tenant.", func(t *TenantMetrics) int64 { return t.Done.Load() }},
-			{"cimserve_tenant_jobs_failed_total", "counter", "Jobs finished with a solver error, by tenant.", func(t *TenantMetrics) int64 { return t.Failed.Load() }},
-			{"cimserve_tenant_jobs_canceled_total", "counter", "Jobs canceled while queued or running, by tenant.", func(t *TenantMetrics) int64 { return t.Canceled.Load() }},
-		} {
-			c, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.kind)
-			n += int64(c)
-			if err != nil {
-				return n, err
-			}
-			for _, name := range tenants {
-				c, err := fmt.Fprintf(w, "%s{tenant=%q} %s\n", fam.name, name, formatMetric(float64(fam.v(m.Tenant(name)))))
-				n += int64(c)
-				if err != nil {
-					return n, err
-				}
-			}
-		}
-		c, err := fmt.Fprintf(w, "# HELP cimserve_queue_wait_seconds Submit-to-dispatch latency, by tenant.\n# TYPE cimserve_queue_wait_seconds histogram\n")
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
-		for _, name := range tenants {
-			h := &m.Tenant(name).queueWait
+		e.printf("# HELP cimserve_queue_wait_seconds Submit-to-dispatch latency, by tenant.\n# TYPE cimserve_queue_wait_seconds histogram\n")
+		for i, name := range names {
+			h := &vals[i].queueWait
 			cum := int64(0)
-			for i, le := range queueWaitBuckets {
-				cum += h.buckets[i].Load()
-				c, err := fmt.Fprintf(w, "cimserve_queue_wait_seconds_bucket{tenant=%q,le=%q} %d\n", name, formatMetric(le), cum)
-				n += int64(c)
-				if err != nil {
-					return n, err
-				}
+			for b, le := range queueWaitBuckets {
+				cum += h.buckets[b].Load()
+				e.printf("cimserve_queue_wait_seconds_bucket{tenant=%q,le=%q} %d\n", name, formatMetric(le), cum)
 			}
 			cum += h.buckets[len(queueWaitBuckets)].Load()
-			c, err := fmt.Fprintf(w, "cimserve_queue_wait_seconds_bucket{tenant=%q,le=\"+Inf\"} %d\ncimserve_queue_wait_seconds_sum{tenant=%q} %s\ncimserve_queue_wait_seconds_count{tenant=%q} %d\n",
+			e.printf("cimserve_queue_wait_seconds_bucket{tenant=%q,le=\"+Inf\"} %d\ncimserve_queue_wait_seconds_sum{tenant=%q} %s\ncimserve_queue_wait_seconds_count{tenant=%q} %d\n",
 				name, cum, name, formatMetric(float64(h.sumNanos.Load())/1e9), name, h.count.Load())
-			n += int64(c)
-			if err != nil {
-				return n, err
-			}
 		}
 	}
 	if m.FleetStats != nil {
 		fs := m.FleetStats()
-		for _, row := range []struct {
-			name, kind, help string
-			v                float64
-		}{
-			{"cimserve_fleet_nodes", "gauge", "Worker nodes currently registered with the coordinator.", float64(fs.Nodes)},
-			{"cimserve_fleet_jobs_claimable", "gauge", "Offered jobs waiting for a worker to claim them.", float64(fs.Claimable)},
-			{"cimserve_fleet_jobs_claimed", "gauge", "Offered jobs currently under a worker lease.", float64(fs.Claimed)},
-			{"cimserve_jobs_reassigned_total", "counter", "Leases revoked (expiry, node death or re-registration); the job became claimable again.", float64(fs.Reassigned)},
-			{"cimserve_fleet_stale_reports_total", "counter", "Worker calls rejected for naming a claim that no longer stands.", float64(fs.StaleDrops)},
-		} {
-			if err := emit(row.name, row.kind, row.help, row.v); err != nil {
-				return n, err
-			}
+		e.metric("cimserve_fleet_nodes", "gauge", "Worker nodes currently registered with the coordinator.", float64(fs.Nodes))
+		e.metric("cimserve_fleet_jobs_claimable", "gauge", "Offered jobs waiting for a worker to claim them.", float64(fs.Claimable))
+		e.metric("cimserve_fleet_jobs_claimed", "gauge", "Offered jobs currently under a worker lease.", float64(fs.Claimed))
+		e.metric("cimserve_jobs_reassigned_total", "counter", "Leases revoked (expiry, node death or re-registration); the job became claimable again.", float64(fs.Reassigned))
+		e.metric("cimserve_fleet_stale_reports_total", "counter", "Worker calls rejected for naming a claim that no longer stands.", float64(fs.StaleDrops))
+		nodes := make([]string, len(fs.PerNode))
+		for i, ns := range fs.PerNode {
+			nodes[i] = ns.Node
 		}
-		if len(fs.PerNode) > 0 {
-			for _, fam := range []struct {
-				name, kind, help string
-				v                func(fleet.NodeStats) int64
-			}{
-				{"cimserve_fleet_node_jobs_claimed", "gauge", "Leases currently held, by node.", func(ns fleet.NodeStats) int64 { return int64(ns.Claimed) }},
-				{"cimserve_fleet_node_jobs_completed_total", "counter", "Offers settled, by node.", func(ns fleet.NodeStats) int64 { return ns.Completed }},
-				{"cimserve_fleet_node_jobs_reassigned_total", "counter", "Leases revoked, by node.", func(ns fleet.NodeStats) int64 { return ns.Reassigned }},
-			} {
-				c, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.kind)
-				n += int64(c)
-				if err != nil {
-					return n, err
-				}
-				for _, ns := range fs.PerNode {
-					c, err := fmt.Fprintf(w, "%s{node=%q} %s\n", fam.name, ns.Node, formatMetric(float64(fam.v(ns))))
-					n += int64(c)
-					if err != nil {
-						return n, err
-					}
-				}
-			}
-		}
+		families(e, "node", nodes, fs.PerNode, []family[fleet.NodeStats]{
+			{"cimserve_fleet_node_jobs_claimed", "gauge", "Leases currently held, by node.", func(ns fleet.NodeStats) int64 { return int64(ns.Claimed) }},
+			{"cimserve_fleet_node_jobs_completed_total", "counter", "Offers settled, by node.", func(ns fleet.NodeStats) int64 { return ns.Completed }},
+			{"cimserve_fleet_node_jobs_reassigned_total", "counter", "Leases revoked, by node.", func(ns fleet.NodeStats) int64 { return ns.Reassigned }},
+		})
 	}
-	return n, nil
+	return e.n, e.err
 }
 
 // formatMetric renders integers without an exponent and floats tersely.

@@ -265,3 +265,33 @@ func TestJournalReplayMixedProblems(t *testing.T) {
 		t.Fatalf("acme-lane done counter %d after recovery, want 1", got)
 	}
 }
+
+// A repeated qubo submission must be answered from the result cache:
+// one request always builds the same Ising image and hashes the same.
+// The generated Q has fractional entries touching every spin many
+// times, so an order-dependent build would hash apart.
+func TestQUBORepeatIsCacheHit(t *testing.T) {
+	sched, base := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 8, CacheEntries: 16})
+	const body = `{"qubo":{"generate":{"n":40,"density":0.7,"seed":11},"sweeps":40,"seed":5}}`
+	var first Status
+	for k := 0; k < 3; k++ {
+		resp := postRaw(t, base+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d returned %d", k, resp.StatusCode)
+		}
+		st := pollState(t, base, decodeJSON[Status](t, resp).ID, StateDone, time.Minute)
+		if k == 0 {
+			first = st
+			continue
+		}
+		if !st.Cached {
+			t.Fatalf("repeat %d of an identical qubo request missed the cache", k)
+		}
+		if st.Length != first.Length {
+			t.Fatalf("repeat %d objective %v, first %v", k, st.Length, first.Length)
+		}
+	}
+	if hits, misses := sched.Metrics.CacheHits.Load(), sched.Metrics.CacheMisses.Load(); hits != 2 || misses != 1 {
+		t.Fatalf("cache hits=%d misses=%d, want 2/1", hits, misses)
+	}
+}

@@ -37,7 +37,7 @@ func (s *Server) Recover(entries []JournalEntry) int {
 		if err == nil {
 			// A pre-tenancy record carries no tenant; the empty string
 			// canonicalizes to the default lane.
-			_, err = s.sched.Resubmit(e.ID, e.Tenant, e.Submitted, task, e.Request)
+			_, err = s.sched.Resubmit(e.ID, e.Submitted, Spec{Tenant: e.Tenant, Task: task, Source: e.Request})
 		}
 		if err != nil {
 			s.sched.cfg.Logf("recovery: dropping job %s: %v", e.ID, err)

@@ -57,7 +57,7 @@ type Config struct {
 	ReplayBuffer int
 
 	// Journal, when non-nil, durably records submissions that carry a
-	// request body (SubmitSource) and retires them on completion, so a
+	// request body (Spec.Source) and retires them on completion, so a
 	// crashed server's queued and running jobs are re-enqueued on boot
 	// (Server.Recover). Appends are fsynced before the submission is
 	// acknowledged.
@@ -206,266 +206,162 @@ func (s *Scheduler) newID() string {
 	return fmt.Sprintf("j%04d-%s", s.idSeq.Add(1), hex.EncodeToString(b[:]))
 }
 
-// Submit validates and enqueues a job under the default tenant. The
-// task is owned by the scheduler afterwards and must not be mutated.
-func (s *Scheduler) Submit(task problem.Task) (*Job, error) {
-	return s.SubmitTenantSource("", task, nil)
-}
-
-// SubmitSource is Submit carrying the original request body: with a
-// journal configured, the source is persisted (fsynced) before the
-// submission is acknowledged, and a later boot can rebuild and
-// re-enqueue the job from it. A nil source skips journaling — the job
-// cannot be recovered.
-func (s *Scheduler) SubmitSource(task problem.Task, source json.RawMessage) (*Job, error) {
-	return s.SubmitTenantSource("", task, source)
-}
-
-// SubmitTenant is Submit under a tenant identity ("" means the default
-// tenant); the tenant's admission quotas apply and the job is scheduled
-// on its weighted lane.
-func (s *Scheduler) SubmitTenant(tenant string, task problem.Task) (*Job, error) {
-	return s.SubmitTenantSource(tenant, task, nil)
-}
-
-// SubmitTenantSource is SubmitSource under a tenant identity.
-func (s *Scheduler) SubmitTenantSource(tenant string, task problem.Task, source json.RawMessage) (*Job, error) {
-	if err := task.Validate(); err != nil {
-		return nil, err
-	}
-	return s.enqueue(s.newID(), tenant, time.Time{}, task, source, false, true)
-}
-
-// BatchItem is one submission of a SubmitBatch call: a task plus its
-// journalable source body (nil source: the job is accepted but cannot
-// be recovered or fleet-dispatched, exactly like SubmitTenantSource).
-type BatchItem struct {
+// Spec is one job submission: the tenant lane ("" means the default
+// tenant), the task, and the task's journalable request body. With a
+// journal configured, a non-nil Source is persisted (fsynced) before
+// the submission is acknowledged, so a later boot can rebuild and
+// re-enqueue the job from it; a nil Source skips journaling — the job
+// cannot be recovered or fleet-dispatched. The task is owned by the
+// scheduler afterwards and must not be mutated.
+type Spec struct {
+	Tenant string
 	Task   problem.Task
 	Source json.RawMessage
 }
 
-// BatchResult pairs a batch item with its outcome: exactly one of Job
-// and Err is set.
+// BatchResult is one submission's outcome: exactly one of Job and Err
+// is set.
 type BatchResult struct {
 	Job *Job
 	Err error
 }
 
-// SubmitBatch admits many jobs under one tenant in a single critical
-// section with a single journal fsync — the amortization that makes the
+// Submit validates and enqueues one job: a batch of one.
+func (s *Scheduler) Submit(sp Spec) (*Job, error) {
+	r := s.submit([]Spec{sp}, "", time.Time{})[0]
+	return r.Job, r.Err
+}
+
+// SubmitBatch admits many jobs in a single critical section with a
+// single journal fsync — the amortization that makes the
 // many-small-instances regime cheap: one HTTP round trip, one lock
 // acquisition, one durability barrier for the whole batch. Admission is
-// per-item (each item still pays the tenant's quotas and rate tokens, so
-// a batch cannot smuggle jobs past fairsched), and per-item failures
+// per-item (each item still pays its tenant's quotas and rate tokens,
+// so a batch cannot smuggle jobs past fairsched), and per-item failures
 // reject only that item. If the collective journal append fails, every
-// item journaled by it is rejected — none was acknowledged durable.
-func (s *Scheduler) SubmitBatch(tenant string, items []BatchItem) []BatchResult {
-	out := make([]BatchResult, len(items))
-	valid := make([]bool, len(items))
-	for i, it := range items {
-		if it.Task == nil {
-			out[i].Err = errors.New("serve: batch item has no task")
-			continue
-		}
-		if err := it.Task.Validate(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		valid[i] = true
-	}
+// admitted item is rejected — none was acknowledged durable.
+func (s *Scheduler) SubmitBatch(specs []Spec) []BatchResult {
+	return s.submit(specs, "", time.Time{})
+}
 
+// Resubmit re-enqueues a recovered job under its original ID and
+// submission time (the tenant from its record: records from before
+// tenancy carry none and recover under the default lane). The journal
+// already holds its record, so nothing is re-journaled — and the
+// tenant's admission quotas are bypassed: the job was already accepted
+// once, so a rate limit or a queued cap must not drop it at boot. The
+// source is kept on the job so a coordinator can re-dispatch the
+// recovered job to the fleet.
+func (s *Scheduler) Resubmit(id string, submitted time.Time, sp Spec) (*Job, error) {
+	r := s.submit([]Spec{sp}, id, submitted)[0]
+	return r.Job, r.Err
+}
+
+// submit is the one admission path. Under s.mu it builds each job,
+// admits it under its tenant's quotas (unless recovered), journals
+// every new journalable job with one append and one fsync — so the
+// journal order matches the queue order — returns the admitted slots if
+// that append fails, and finally raises the gauges and pushes. A
+// non-empty id marks a single recovered job, which keeps its ID and
+// submission time and is admitted and journaled already.
+func (s *Scheduler) submit(specs []Spec, id string, submitted time.Time) []BatchResult {
+	out := make([]BatchResult, len(specs))
+	for i, sp := range specs {
+		if sp.Task == nil {
+			out[i].Err = errors.New("serve: submission has no task")
+		} else {
+			out[i].Err = sp.Task.Validate()
+		}
+	}
+	recovered := id != ""
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		for i := range out {
-			if valid[i] {
-				out[i].Err = ErrShuttingDown
-			}
-		}
-		return out
-	}
-	lane := s.fq.Canonical(tenant)
-	tm := s.Metrics.Tenant(lane)
 	now := s.cfg.Now()
-
-	// Phase 1: admit each item under the tenant's quotas and stage its
-	// journal record. Nothing is visible to workers yet.
-	var jobs []*Job // admitted jobs, in batch order
-	var idx []int   // jobs[k] answers items[idx[k]]
+	if submitted.IsZero() {
+		submitted = now
+	}
+	var jobs []*Job // admitted jobs, in submission order
+	var at []int    // jobs[k] answers specs[at[k]]
 	var recs []SubmitRecord
-	for i, it := range items {
-		if !valid[i] {
+	for i, sp := range specs {
+		if out[i].Err != nil {
 			continue
 		}
-		if err := s.fq.Admit(lane); err != nil {
-			if errors.Is(err, fairsched.ErrClosed) {
-				err = ErrShuttingDown
-			} else {
-				s.Metrics.Rejected.Add(1)
-				tm.Rejected.Add(1)
-				if errors.Is(err, ErrRateLimited) {
-					s.Metrics.RateLimited.Add(1)
-				}
-				if errors.Is(err, fairsched.ErrQueueFull) {
-					err = ErrQueueFull
-				}
-			}
-			out[i].Err = err
+		if s.closed {
+			out[i].Err = ErrShuttingDown
 			continue
+		}
+		jid := id
+		if !recovered {
+			jid = s.newID()
+		}
+		if _, dup := s.jobs[jid]; dup {
+			out[i].Err = fmt.Errorf("serve: job %s already exists", jid)
+			continue
+		}
+		lane := s.fq.Canonical(sp.Tenant)
+		if !recovered {
+			// Only submit pushes onto the fair queue and only while
+			// holding s.mu, so Admit's verdict decides the Push without
+			// racing other submitters.
+			if err := s.fq.Admit(lane); err != nil {
+				if errors.Is(err, fairsched.ErrClosed) {
+					err = ErrShuttingDown
+				} else {
+					s.Metrics.reject(lane, errors.Is(err, ErrRateLimited))
+					if errors.Is(err, fairsched.ErrQueueFull) {
+						err = ErrQueueFull
+					}
+				}
+				out[i].Err = err
+				continue
+			}
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		job := &Job{
-			ID:          s.newID(),
+			ID:          jid,
 			Tenant:      lane,
-			task:        it.Task,
+			problem:     sp.Task.Problem(),
+			label:       sp.Task.Label(),
+			size:        sp.Task.Size(),
+			task:        sp.Task,
+			source:      sp.Source,
 			ctx:         ctx,
 			cancel:      cancel,
 			done:        make(chan struct{}),
-			state:       StateQueued,
 			replayLimit: s.cfg.ReplayBuffer,
-			source:      it.Source,
+			journaled:   s.cfg.Journal != nil && sp.Source != nil,
+			state:       StateQueued,
+			submitted:   submitted,
 		}
-		job.submitted = now
-		if s.cfg.Journal != nil && it.Source != nil {
-			job.journaled = true
-			recs = append(recs, SubmitRecord{ID: job.ID, Tenant: lane, Problem: it.Task.Problem(), Submitted: now, Request: it.Source})
+		if job.journaled && !recovered {
+			recs = append(recs, SubmitRecord{ID: jid, Tenant: lane, Problem: job.problem, Submitted: submitted, Request: sp.Source})
 		}
 		jobs = append(jobs, job)
-		idx = append(idx, i)
+		at = append(at, i)
 	}
-
-	// Phase 2: one fsync covers the whole batch. Durability before
-	// acknowledgement, batch-wide: a failed sync rejects every admitted
-	// item, because none of them is durably recorded.
-	if s.cfg.Journal != nil && len(recs) > 0 {
+	// Durability before acknowledgement: if the journal can't hold the
+	// batch, no client may believe any of it was accepted.
+	if len(recs) > 0 {
 		if err := s.cfg.Journal.SubmittedBatch(recs); err != nil {
 			for k, job := range jobs {
 				job.cancel()
-				s.fq.Unadmit(lane) // the admitted slot will never be pushed
-				out[idx[k]].Err = err
+				s.fq.Unadmit(job.Tenant) // the admitted slot will never be pushed
+				out[at[k]].Err = err
 			}
 			return out
 		}
 	}
-
-	// Phase 3: gauges before Push, exactly like enqueue — workers don't
-	// take s.mu, so the gauge must rise before a worker can pop the job.
 	for k, job := range jobs {
-		pm := s.Metrics.Problem(job.task.Problem())
-		s.Metrics.Submitted.Add(1)
-		s.Metrics.Queued.Add(1)
-		pm.Submitted.Add(1)
-		pm.Queued.Add(1)
-		tm.Submitted.Add(1)
-		tm.Queued.Add(1)
-		s.fq.Push(lane, job)
+		// The gauge must rise before the job becomes visible to a
+		// worker: workers don't take s.mu, so counting after the Push
+		// lets an eager worker's dispatch drive the gauge negative.
+		s.Metrics.move(job.problem, job.Tenant, "", StateQueued)
+		s.fq.Push(job.Tenant, job) // cannot fail: fq closes under s.mu with closed=true
 		s.jobs[job.ID] = job
-		out[idx[k]].Job = job
+		out[at[k]].Job = job
 	}
 	return out
-}
-
-// Resubmit re-enqueues a recovered job under its original ID, tenant
-// and submission time. The journal already holds its record, so nothing
-// is re-journaled — and the tenant's admission quotas are bypassed: the
-// job was already accepted once, so a rate limit or a queued cap must
-// not drop it at boot (records from before tenancy carry no tenant and
-// recover under the default lane). The source is the journaled request
-// body, kept on the job so a coordinator can re-dispatch the recovered
-// job to the fleet.
-func (s *Scheduler) Resubmit(id, tenant string, submitted time.Time, task problem.Task, source json.RawMessage) (*Job, error) {
-	if err := task.Validate(); err != nil {
-		return nil, err
-	}
-	return s.enqueue(id, tenant, submitted, task, source, s.cfg.Journal != nil, false)
-}
-
-// enqueue admits a job under s.mu. A zero submitted time means "now";
-// a non-nil source is journaled inside the critical section, so the
-// journal order matches the queue order; journaled marks a recovered
-// job whose record is already in the journal (its source is kept but
-// not re-journaled); admit applies the tenant's quotas (false for
-// recovered jobs).
-func (s *Scheduler) enqueue(id, tenant string, submitted time.Time, task problem.Task, source json.RawMessage, journaled, admit bool) (*Job, error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	job := &Job{
-		ID:          id,
-		task:        task,
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		state:       StateQueued,
-		replayLimit: s.cfg.ReplayBuffer,
-		journaled:   journaled,
-		source:      source,
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		return nil, ErrShuttingDown
-	}
-	if _, dup := s.jobs[job.ID]; dup {
-		s.mu.Unlock()
-		cancel()
-		return nil, fmt.Errorf("serve: job %s already exists", job.ID)
-	}
-	job.Tenant = s.fq.Canonical(tenant)
-	job.submitted = submitted
-	if job.submitted.IsZero() {
-		job.submitted = s.cfg.Now()
-	}
-	tm := s.Metrics.Tenant(job.Tenant)
-	if admit {
-		// Only enqueue pushes onto the fair queue and only while holding
-		// s.mu, so Admit's verdict decides the Push without racing other
-		// submitters.
-		if err := s.fq.Admit(job.Tenant); err != nil {
-			s.mu.Unlock()
-			cancel()
-			if errors.Is(err, fairsched.ErrClosed) {
-				return nil, ErrShuttingDown
-			}
-			s.Metrics.Rejected.Add(1)
-			tm.Rejected.Add(1)
-			if errors.Is(err, ErrRateLimited) {
-				s.Metrics.RateLimited.Add(1)
-			}
-			if errors.Is(err, fairsched.ErrQueueFull) {
-				return nil, ErrQueueFull
-			}
-			return nil, err
-		}
-	}
-	if s.cfg.Journal != nil && source != nil && !journaled {
-		// Durability before acknowledgement: if the journal can't hold
-		// the job, the client must not believe it was accepted.
-		if err := s.cfg.Journal.Submitted(job.ID, job.Tenant, job.submitted, task.Problem(), source); err != nil {
-			if admit {
-				// The rejected job will never be pushed: return its
-				// reserved queue slot so the caps don't leak shut.
-				s.fq.Unadmit(job.Tenant)
-			}
-			s.mu.Unlock()
-			cancel()
-			return nil, err
-		}
-		job.journaled = true
-	}
-	// The gauge must rise before the job becomes visible to a worker:
-	// workers don't take s.mu, so incrementing after the Push lets an
-	// eager worker run Queued.Add(-1) first and the gauge goes negative.
-	s.Metrics.Submitted.Add(1)
-	s.Metrics.Queued.Add(1)
-	pm := s.Metrics.Problem(task.Problem())
-	pm.Submitted.Add(1)
-	pm.Queued.Add(1)
-	tm.Submitted.Add(1)
-	tm.Queued.Add(1)
-	s.fq.Push(job.Tenant, job) // cannot fail: fq closes under s.mu with closed=true
-	s.jobs[job.ID] = job
-	s.mu.Unlock()
-	return job, nil
 }
 
 // Get returns a job by ID.
@@ -521,30 +417,29 @@ func (s *Scheduler) Cancel(id string) bool {
 	return true
 }
 
-// cancelQueued finalizes a job that is still queued as canceled,
-// fixing the gauges; it reports false (and does nothing) if the job
-// already left the queued state. Shared by Cancel and the coalesced
-// requeue path when the queue has shut down.
+// cancelQueued finalizes a job that is still queued as canceled; it
+// reports false (and does nothing) if the job already left the queued
+// state. Shared by Cancel and the coalesced requeue path when the
+// queue has shut down.
 func (s *Scheduler) cancelQueued(job *Job) bool {
-	job.mu.Lock()
-	if job.state != StateQueued {
-		job.mu.Unlock()
+	return s.settle(job, StateQueued, outcome{state: StateCanceled, err: context.Canceled})
+}
+
+// settle finalizes a job leaving state from — the cache-served,
+// cancel-while-queued and done/failed/canceled paths all end here: the
+// terminal state and event, the counters, the durable cleanup, then
+// Done(). It reports false, doing nothing, if the job already left
+// state from. A job served from the cache leaves the queue here, so its
+// queue wait (submit→completion) is observed here too.
+func (s *Scheduler) settle(job *Job, from State, out outcome) bool {
+	now := s.cfg.Now()
+	if !job.settle(from, out, now, now.Add(s.cfg.ResultTTL)) {
 		return false
 	}
-	job.state = StateCanceled
-	job.err = context.Canceled
-	job.finished = s.cfg.Now()
-	job.expires = job.finished.Add(s.cfg.ResultTTL)
-	job.mu.Unlock()
-	s.Metrics.Queued.Add(-1)
-	s.Metrics.Canceled.Add(1)
-	pm := s.Metrics.Problem(job.task.Problem())
-	pm.Queued.Add(-1)
-	pm.Canceled.Add(1)
-	tm := s.Metrics.Tenant(job.Tenant)
-	tm.Queued.Add(-1)
-	tm.Canceled.Add(1)
-	job.publish("canceled", nil, 0, "")
+	s.Metrics.move(job.problem, job.Tenant, from, out.state)
+	if out.cached {
+		s.Metrics.ObserveQueueWait(job.Tenant, now.Sub(job.submitted))
+	}
 	// Retire before signalling done: an observer of Done() may rely on
 	// the durable footprint (journal record, checkpoints) being gone.
 	s.retire(job)
@@ -604,9 +499,9 @@ func (s *Scheduler) worker() {
 // otherwise.
 func (s *Scheduler) dispatch(job *Job) {
 	job.mu.Lock()
-	terminal := job.state.Terminal()
+	task := job.task // nil once settled
 	job.mu.Unlock()
-	if terminal {
+	if task == nil {
 		// Canceled while queued; Cancel already finalized it and fixed
 		// the gauges.
 		s.fq.Release(job.Tenant)
@@ -617,7 +512,7 @@ func (s *Scheduler) dispatch(job *Job) {
 		s.fq.Release(job.Tenant)
 		return
 	}
-	key := cacheKey(job.task)
+	key := cacheKey(task)
 	res, role := s.cache.Acquire(key, func(res *problem.Result, ok bool) {
 		s.coalesced(job, res, ok)
 	})
@@ -656,30 +551,7 @@ func cacheKey(task problem.Task) string {
 // concurrently (a cancel won the race — the cancel path owned the
 // gauges).
 func (s *Scheduler) finishCached(job *Job, res *problem.Result) {
-	now := s.cfg.Now()
-	job.mu.Lock()
-	if job.state.Terminal() {
-		job.mu.Unlock()
-		return
-	}
-	job.state = StateDone
-	job.result = res
-	job.cached = true
-	job.finished = now
-	job.expires = now.Add(s.cfg.ResultTTL)
-	job.mu.Unlock()
-	pm := s.Metrics.Problem(job.task.Problem())
-	tm := s.Metrics.Tenant(job.Tenant)
-	s.Metrics.Queued.Add(-1)
-	pm.Queued.Add(-1)
-	tm.Queued.Add(-1)
-	s.Metrics.Done.Add(1)
-	pm.Done.Add(1)
-	tm.Done.Add(1)
-	s.Metrics.ObserveQueueWait(job.Tenant, now.Sub(job.submitted))
-	job.publish("done", nil, res.Objective, "")
-	s.retire(job)
-	close(job.done)
+	s.settle(job, StateQueued, outcome{state: StateDone, result: res, cached: true})
 }
 
 // coalesced is the waiter callback for a job riding an identical
@@ -719,21 +591,15 @@ func (s *Scheduler) run(job *Job, key string) {
 	}
 	job.state = StateRunning
 	job.started = s.cfg.Now()
+	task, source := job.task, job.source
 	job.mu.Unlock()
-	pm := s.Metrics.Problem(job.task.Problem())
-	tm := s.Metrics.Tenant(job.Tenant)
-	s.Metrics.Queued.Add(-1)
-	s.Metrics.Running.Add(1)
-	pm.Queued.Add(-1)
-	pm.Running.Add(1)
-	tm.Queued.Add(-1)
-	tm.Running.Add(1)
+	s.Metrics.move(job.problem, job.Tenant, StateQueued, StateRunning)
 	s.Metrics.ObserveQueueWait(job.Tenant, job.started.Sub(job.submitted))
 
 	run := problem.Run{
 		Progress: func(ev problem.Progress) {
 			pe := ev
-			job.publish("progress", &pe, 0, "")
+			job.publish(&pe)
 		},
 	}
 	if s.cfg.CheckpointDir != "" {
@@ -746,7 +612,7 @@ func (s *Scheduler) run(job *Job, key string) {
 		}
 	}
 	solve := s.cfg.Solve
-	if s.cfg.Fleet != nil && len(job.source) > 0 {
+	if s.cfg.Fleet != nil && len(source) > 0 {
 		// Coordinator mode: offer the job to the fleet and wait for a
 		// worker's result. The Run hooks flow through unchanged — the
 		// coordinator invokes Progress for shipped progress events and
@@ -757,9 +623,9 @@ func (s *Scheduler) run(job *Job, key string) {
 		// fresh), so Offer never returns ErrInvalid/ErrMismatch.
 		fj := fleet.Job{
 			ID:              job.ID,
-			Problem:         job.task.Problem(),
+			Problem:         job.problem,
 			Tenant:          job.Tenant,
-			Source:          job.source,
+			Source:          source,
 			CheckpointDir:   run.CheckpointDir,
 			CheckpointEvery: s.cfg.CheckpointEvery,
 		}
@@ -768,7 +634,7 @@ func (s *Scheduler) run(job *Job, key string) {
 		}
 	}
 	start := s.cfg.Now()
-	res, err := solve(job.ctx, job.task, run)
+	res, err := solve(job.ctx, task, run)
 	if err != nil && run.CheckpointDir != "" &&
 		(errors.Is(err, checkpoint.ErrInvalid) || errors.Is(err, checkpoint.ErrMismatch)) {
 		// The checkpoint this job left behind is unusable (corrupt file,
@@ -780,24 +646,13 @@ func (s *Scheduler) run(job *Job, key string) {
 		if rerr := os.RemoveAll(run.CheckpointDir); rerr != nil {
 			s.cfg.Logf("job %s: discarding checkpoint: %v", job.ID, rerr)
 		}
-		res, err = solve(job.ctx, job.task, run)
+		res, err = solve(job.ctx, task, run)
 	}
 	elapsed := s.cfg.Now().Sub(start)
-	s.Metrics.Running.Add(-1)
-	pm.Running.Add(-1)
-	tm.Running.Add(-1)
 
-	job.mu.Lock()
-	job.finished = s.cfg.Now()
-	job.expires = job.finished.Add(s.cfg.ResultTTL)
+	out := outcome{state: StateDone, result: res}
 	switch {
 	case err == nil:
-		job.state = StateDone
-		job.result = res
-		job.mu.Unlock()
-		s.Metrics.Done.Add(1)
-		pm.Done.Add(1)
-		tm.Done.Add(1)
 		s.Metrics.ObserveSolve(elapsed.Nanoseconds(), res.Iterations)
 		if key != "" {
 			// Settle the flight before the terminal event: waiters
@@ -805,37 +660,19 @@ func (s *Scheduler) run(job *Job, key string) {
 			// the time this job reports done its riders are done too.
 			s.cache.Complete(key, res)
 		}
-		job.publish("done", nil, res.Objective, "")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		job.state = StateCanceled
-		job.err = err
-		job.mu.Unlock()
-		s.Metrics.Canceled.Add(1)
-		pm.Canceled.Add(1)
-		tm.Canceled.Add(1)
-		if key != "" {
-			s.cache.Abort(key)
-		}
-		job.publish("canceled", nil, 0, "")
+		out = outcome{state: StateCanceled, err: err}
 	default:
-		job.state = StateFailed
-		job.err = err
-		job.mu.Unlock()
-		s.Metrics.Failed.Add(1)
-		pm.Failed.Add(1)
-		tm.Failed.Add(1)
-		if key != "" {
-			s.cache.Abort(key)
-		}
-		job.publish("failed", nil, 0, err.Error())
+		out = outcome{state: StateFailed, err: err}
+	}
+	if err != nil && key != "" {
+		s.cache.Abort(key)
 	}
 	// A cancelled job is terminal from the client's point of view (the
 	// cancel was asked for), so its journal record and checkpoints are
 	// retired like any other outcome; only a killed process leaves them
-	// behind for recovery. Retire before signalling done so observers
-	// of Done() see the durable footprint already gone.
-	s.retire(job)
-	close(job.done)
+	// behind for recovery.
+	s.settle(job, StateRunning, out)
 }
 
 // janitor periodically expires finished jobs past their TTL.

@@ -131,16 +131,16 @@ func TestQueueFullBackpressure(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 1)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit(Spec{Task: testTask(t, "a")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, st, "a") // a occupies the single slot
-	b, err := s.Submit(testTask(t, "b"))
+	b, err := s.Submit(Spec{Task: testTask(t, "b")})
 	if err != nil {
 		t.Fatal(err) // b fills the single queue position
 	}
-	if _, err := s.Submit(testTask(t, "c")); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(Spec{Task: testTask(t, "c")}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submission: want ErrQueueFull, got %v", err)
 	}
 	if got := s.Metrics.Rejected.Load(); got != 1 {
@@ -162,12 +162,12 @@ func TestCancelWhileQueued(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit(Spec{Task: testTask(t, "a")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, st, "a")
-	b, err := s.Submit(testTask(t, "b"))
+	b, err := s.Submit(Spec{Task: testTask(t, "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCancelWhileQueued(t *testing.T) {
 	if got := b.Status().State; got != StateCanceled {
 		t.Fatalf("state %s, want canceled", got)
 	}
-	c, err := s.Submit(testTask(t, "c"))
+	c, err := s.Submit(Spec{Task: testTask(t, "c")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +204,12 @@ func TestCancelWhileRunningFreesSlot(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit(Spec{Task: testTask(t, "a")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, st, "a")
-	b, err := s.Submit(testTask(t, "b"))
+	b, err := s.Submit(Spec{Task: testTask(t, "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestResultTTLExpiry(t *testing.T) {
 	clk := newFakeClock()
 	s := newTestScheduler(t, st, clk, 1, 4)
 
-	job, err := s.Submit(testTask(t, "a"))
+	job, err := s.Submit(Spec{Task: testTask(t, "a")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +265,12 @@ func TestShutdownDrains(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit(Spec{Task: testTask(t, "a")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, st, "a")
-	b, err := s.Submit(testTask(t, "b"))
+	b, err := s.Submit(Spec{Task: testTask(t, "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestShutdownDrains(t *testing.T) {
 	// Shutdown must refuse new work while draining.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := s.Submit(testTask(t, "late"))
+		_, err := s.Submit(Spec{Task: testTask(t, "late")})
 		if errors.Is(err, ErrShuttingDown) {
 			break
 		}
@@ -313,7 +313,7 @@ func TestShutdownDeadlineCancelsInFlight(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit(Spec{Task: testTask(t, "a")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestSubscribeReplayAfterCompletion(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
 
-	job, err := s.Submit(testTask(t, "a"))
+	job, err := s.Submit(Spec{Task: testTask(t, "a")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestSubscribeReplayAfterCompletion(t *testing.T) {
 func TestSubmitRejectsInvalidOptions(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
-	if _, err := s.Submit(tspprob.New(cimsa.GenerateInstance("a", 10, 1), cimsa.Options{PMax: 99})); err == nil ||
+	if _, err := s.Submit(Spec{Task: tspprob.New(cimsa.GenerateInstance("a", 10, 1), cimsa.Options{PMax: 99})}); err == nil ||
 		!strings.Contains(err.Error(), "PMax") {
 		t.Fatalf("invalid options: got %v", err)
 	}
@@ -384,13 +384,13 @@ func TestSubmitBatchRespectsQueueCap(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 2)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit(Spec{Task: testTask(t, "a")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, st, "a") // a occupies the slot; the queue has 2 free positions
 
-	out := s.SubmitBatch("", []BatchItem{
+	out := s.SubmitBatch([]Spec{
 		{Task: testTask(t, "b")},
 		{Task: testTask(t, "c")},
 		{Task: testTask(t, "d")},
@@ -415,5 +415,34 @@ func TestSubmitBatchRespectsQueueCap(t *testing.T) {
 		if r.Job != nil {
 			waitDone(t, r.Job)
 		}
+	}
+}
+
+// A settled job answers Status from what it captured at submission and
+// drops its task and request body, so a finished job kept for its TTL
+// does not pin its instance.
+func TestSettledJobReleasesTask(t *testing.T) {
+	st := newStubSolver()
+	s := newTestScheduler(t, st, newFakeClock(), 1, 4)
+	job, err := s.Submit(Spec{Task: testTask(t, "keep"), Source: []byte(`{"name":"keep"}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := job.Status()
+	st.releaseAll()
+	waitDone(t, job)
+	done := job.Status()
+	if done.Problem != queued.Problem || done.Instance != queued.Instance || done.N != queued.N ||
+		done.Tenant != queued.Tenant || !done.Submitted.Equal(queued.Submitted) {
+		t.Fatalf("settled status %+v lost the submission's identity %+v", done, queued)
+	}
+	if done.Problem != "tsp" || done.Instance != "keep" || done.N != 10 || done.State != StateDone {
+		t.Fatalf("settled status %+v", done)
+	}
+	job.mu.Lock()
+	task, source := job.task, job.source
+	job.mu.Unlock()
+	if task != nil || source != nil {
+		t.Fatal("settled job still references its task or request body")
 	}
 }

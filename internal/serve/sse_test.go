@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -217,4 +218,91 @@ func TestCancelQueuedReturns202WithFinalSnapshot(t *testing.T) {
 		t.Fatal("cancelled queued job never finalized")
 	}
 	_ = first
+}
+
+// drainStream subscribes to a job and collects replay plus live events
+// until the stream closes.
+func drainStream(t *testing.T, job *Job) []Event {
+	replay, _, ch, unsub := job.Subscribe()
+	defer unsub()
+	events := append([]Event(nil), replay...)
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case ev, open := <-ch:
+			if !open {
+				return events
+			}
+			events = append(events, ev)
+		case <-timeout:
+			t.Errorf("stream of %s never closed", job.ID)
+			return events
+		}
+	}
+}
+
+// TestTerminalFrameSurvivesSubscribeRace races many subscribers against
+// cache-hit and cancel-while-queued settlements (run it under -race).
+// However a Subscribe interleaves with the settle, its stream must end
+// with exactly one terminal event: a subscriber that sees the job
+// terminal must find the terminal event in its replay.
+func TestTerminalFrameSurvivesSubscribeRace(t *testing.T) {
+	const rounds, subscribers = 100, 8
+	check := func(job *Job, want string) {
+		var wg sync.WaitGroup
+		for k := 0; k < subscribers; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				events := drainStream(t, job)
+				terminals := 0
+				for _, ev := range events {
+					if ev.Type == "done" || ev.Type == "failed" || ev.Type == "canceled" {
+						terminals++
+					}
+				}
+				if terminals != 1 || events[len(events)-1].Type != want {
+					t.Errorf("job %s: stream %+v, want exactly one terminal %q, last", job.ID, events, want)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	// Cache hits: every repeat of "hot" settles on dispatch.
+	g := newGateSolver()
+	hits := newGateScheduler(t, g, Config{MaxConcurrent: 2, QueueDepth: 8, CacheEntries: 4})
+	g.finish("hot")
+	seed, err := hits.Submit(Spec{Task: testTask(t, "hot")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, seed)
+
+	// Cancels: the only slot is pinned, so every submission stays queued
+	// until its cancel settles it.
+	pinSolver := newGateSolver()
+	cancels := newGateScheduler(t, pinSolver, Config{MaxConcurrent: 1, QueueDepth: 8})
+	if _, err := cancels.Submit(Spec{Task: testTask(t, "pin")}); err != nil {
+		t.Fatal(err)
+	}
+	<-pinSolver.started
+
+	for r := 0; r < rounds; r++ {
+		hit, err := hits.Submit(Spec{Task: testTask(t, "hot")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(hit, "done")
+
+		victim, err := cancels.Submit(Spec{Task: testTask(t, "victim")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go cancels.Cancel(victim.ID)
+		check(victim, "canceled")
+	}
+	if got := hits.Metrics.CacheHits.Load(); got != rounds {
+		t.Fatalf("cache hits = %d, want %d", got, rounds)
+	}
 }
