@@ -442,28 +442,24 @@ func (s *Scheduler) settle(job *Job, from State, out outcome) bool {
 	}
 	// Retire before signalling done: an observer of Done() may rely on
 	// the durable footprint (journal record, checkpoints) being gone.
-	s.retire(job)
+	s.retire(job, out.state)
 	close(job.done)
 	return true
 }
 
 // retire cleans up a terminal job's durable footprint: its journal
 // record (so the next boot will not recover it) and its checkpoint
-// directory. Failures are logged, not fatal — the job itself finished.
+// directory; st is the state the job settled in. Failures are logged,
+// not fatal — the job itself finished.
 //
 // Exception: a job cancelled by the shutdown drain deadline was not
 // cancelled by anyone who wanted it gone — its record and checkpoint
 // are left in place so the next boot resumes it from the snapshot the
 // solver flushed on the way out.
-func (s *Scheduler) retire(job *Job) {
-	if s.draining.Load() {
-		job.mu.Lock()
-		canceled := job.state == StateCanceled
-		job.mu.Unlock()
-		if canceled {
-			s.cfg.Logf("job %s: interrupted by shutdown; preserved for recovery", job.ID)
-			return
-		}
+func (s *Scheduler) retire(job *Job, st State) {
+	if s.draining.Load() && st == StateCanceled {
+		s.cfg.Logf("job %s: interrupted by shutdown; preserved for recovery", job.ID)
+		return
 	}
 	if job.journaled && s.cfg.Journal != nil {
 		if err := s.cfg.Journal.Finished(job.ID); err != nil {
