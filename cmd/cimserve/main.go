@@ -13,7 +13,7 @@
 // Submit a TSP job (legacy top-level schema, still accepted):
 //
 //	curl -s localhost:8080/v1/jobs -d '{"generate":{"name":"pcb-like","n":10000,"seed":7},
-//	  "options":{"pmax":3,"seed":1,"parallel":true,"skip_hardware":true}}'
+//	  "options":{"pmax":3,"seed":1,"skip_hardware":true}}'
 //
 // Submit a Max-Cut job (problem-section schema):
 //
@@ -292,7 +292,7 @@ func runWorker(a workerArgs) {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		worker.WriteMetrics(w)
+		_ = serve.WriteWorkerMetrics(w, node, worker.Stats())
 	})
 	httpSrv := &http.Server{Addr: a.addr, Handler: mux}
 	go func() {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -119,23 +118,6 @@ func startWorker(t *testing.T, ctx context.Context, w *fleet.Worker) {
 	t.Cleanup(func() { <-done })
 }
 
-func metricValue(t *testing.T, w *fleet.Worker, name string) int64 {
-	t.Helper()
-	var sb strings.Builder
-	w.WriteMetrics(&sb)
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if strings.HasPrefix(line, name+"{") {
-			var v int64
-			if _, err := fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%d", &v); err != nil {
-				t.Fatalf("parsing metric line %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("metric %s not found in:\n%s", name, sb.String())
-	return 0
-}
-
 // TestFailoverBitIdentity is the tentpole contract end to end,
 // in-process: worker A claims the job, ships epoch checkpoints, and is
 // hard-killed mid-anneal; the lease lapses, worker B re-claims, resumes
@@ -234,7 +216,7 @@ func TestFailoverBitIdentity(t *testing.T) {
 	if gotJSON, wantJSON := mustJSON(t, got.res), mustJSON(t, want); gotJSON != wantJSON {
 		t.Fatalf("failover result differs from uninterrupted solve:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
-	if n := metricValue(t, wb, "cimserve_worker_resumes_total"); n == 0 {
+	if wb.Stats().Resumed == 0 {
 		t.Fatal("worker B solved fresh instead of resuming the shipped checkpoint")
 	}
 	stats := coord.Stats()
@@ -682,7 +664,7 @@ func TestWorkerOverHTTP(t *testing.T) {
 	if mustJSON(t, res) != mustJSON(t, want) {
 		t.Fatal("HTTP worker result differs from local solve")
 	}
-	if n := metricValue(t, w, "cimserve_worker_checkpoints_shipped_total"); n == 0 {
+	if w.Stats().Shipped == 0 {
 		t.Fatal("worker shipped no checkpoints")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -54,13 +53,8 @@ type Worker struct {
 
 	killed atomic.Bool
 
-	// Stats counters, exposed via WriteMetrics.
-	claimed     atomic.Int64
-	completed   atomic.Int64
-	failed      atomic.Int64
-	resumed     atomic.Int64
-	shipped     atomic.Int64
-	reRegisters atomic.Int64
+	// Counters, read together by Stats.
+	claimed, completed, failed, resumed, shipped, reRegisters atomic.Int64
 }
 
 // NewWorker builds a worker with defaults applied.
@@ -314,18 +308,13 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// WriteMetrics emits the worker's Prometheus-style counters (the
-// worker-side /metrics body; the node label is the registration-guarded
-// name, so it cannot inject labels).
-func (w *Worker) WriteMetrics(out io.Writer) {
-	node := w.cfg.Node
-	emit := func(name, help, typ string, v int64) {
-		fmt.Fprintf(out, "# HELP %s %s\n# TYPE %s %s\n%s{node=%q} %d\n", name, help, name, typ, name, node, v)
-	}
-	emit("cimserve_worker_jobs_claimed_total", "Jobs this worker claimed.", "counter", w.claimed.Load())
-	emit("cimserve_worker_jobs_completed_total", "Jobs this worker completed successfully.", "counter", w.completed.Load())
-	emit("cimserve_worker_jobs_failed_total", "Jobs this worker completed with an error.", "counter", w.failed.Load())
-	emit("cimserve_worker_resumes_total", "Solves resumed from a shipped checkpoint.", "counter", w.resumed.Load())
-	emit("cimserve_worker_checkpoints_shipped_total", "Checkpoints shipped to the coordinator.", "counter", w.shipped.Load())
-	emit("cimserve_worker_reregisters_total", "Times the worker re-registered after losing the coordinator.", "counter", w.reRegisters.Load())
+// WorkerStats is a snapshot of a worker's counters.
+type WorkerStats struct {
+	Claimed, Completed, Failed, Resumed, Shipped, ReRegisters int64
+}
+
+// Stats reads the worker's counters; the worker-side /metrics body
+// renders them.
+func (w *Worker) Stats() WorkerStats {
+	return WorkerStats{w.claimed.Load(), w.completed.Load(), w.failed.Load(), w.resumed.Load(), w.shipped.Load(), w.reRegisters.Load()}
 }

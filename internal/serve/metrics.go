@@ -274,16 +274,16 @@ func (e *expo) metric(name, kind, help string, v float64) {
 }
 
 // families emits labeled families: each family's HELP and TYPE lines,
-// then one series per label value (names[i] labels vals[i]). Nothing is
-// written when there are no label values.
-func families[T any](e *expo, label string, names []string, vals []T, fams []family[T]) {
-	if len(names) == 0 {
+// then one series per value, vals[i] labeled name(i). Nothing is
+// written when there are no values.
+func families[T any](e *expo, label string, vals []T, name func(i int) string, fams []family[T]) {
+	if len(vals) == 0 {
 		return
 	}
 	for _, f := range fams {
 		e.printf("# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		for i, name := range names {
-			e.printf("%s{%s=%q} %s\n", f.name, label, name, formatMetric(float64(f.v(vals[i]))))
+		for i, v := range vals {
+			e.printf("%s{%s=%q} %s\n", f.name, label, name(i), formatMetric(float64(f.v(v))))
 		}
 	}
 }
@@ -329,9 +329,9 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		e.metric(row.name, row.kind, row.help, row.v)
 	}
 	names, vals := m.problems.snapshot()
-	families(e, "problem", names, vals, jobFamiliesFor("problem", "problem type", false))
+	families(e, "problem", vals, func(i int) string { return names[i] }, jobFamiliesFor("problem", "problem type", false))
 	names, vals = m.tenants.snapshot()
-	families(e, "tenant", names, vals, jobFamiliesFor("tenant", "tenant", true))
+	families(e, "tenant", vals, func(i int) string { return names[i] }, jobFamiliesFor("tenant", "tenant", true))
 	if len(names) > 0 {
 		e.printf("# HELP cimserve_queue_wait_seconds Submit-to-dispatch latency, by tenant.\n# TYPE cimserve_queue_wait_seconds histogram\n")
 		for i, name := range names {
@@ -353,17 +353,29 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		e.metric("cimserve_fleet_jobs_claimed", "gauge", "Offered jobs currently under a worker lease.", float64(fs.Claimed))
 		e.metric("cimserve_jobs_reassigned_total", "counter", "Leases revoked (expiry, node death or re-registration); the job became claimable again.", float64(fs.Reassigned))
 		e.metric("cimserve_fleet_stale_reports_total", "counter", "Worker calls rejected for naming a claim that no longer stands.", float64(fs.StaleDrops))
-		nodes := make([]string, len(fs.PerNode))
-		for i, ns := range fs.PerNode {
-			nodes[i] = ns.Node
-		}
-		families(e, "node", nodes, fs.PerNode, []family[fleet.NodeStats]{
+		families(e, "node", fs.PerNode, func(i int) string { return fs.PerNode[i].Node }, []family[fleet.NodeStats]{
 			{"cimserve_fleet_node_jobs_claimed", "gauge", "Leases currently held, by node.", func(ns fleet.NodeStats) int64 { return int64(ns.Claimed) }},
 			{"cimserve_fleet_node_jobs_completed_total", "counter", "Offers settled, by node.", func(ns fleet.NodeStats) int64 { return ns.Completed }},
 			{"cimserve_fleet_node_jobs_reassigned_total", "counter", "Leases revoked, by node.", func(ns fleet.NodeStats) int64 { return ns.Reassigned }},
 		})
 	}
 	return e.n, e.err
+}
+
+// WriteWorkerMetrics emits a fleet worker's /metrics body: its counters
+// as families labeled with its node name, which the coordinator's
+// registration guard keeps free of label injection.
+func WriteWorkerMetrics(w io.Writer, node string, st fleet.WorkerStats) error {
+	e := &expo{w: w}
+	families(e, "node", []fleet.WorkerStats{st}, func(int) string { return node }, []family[fleet.WorkerStats]{
+		{"cimserve_worker_jobs_claimed_total", "counter", "Jobs this worker claimed.", func(s fleet.WorkerStats) int64 { return s.Claimed }},
+		{"cimserve_worker_jobs_completed_total", "counter", "Jobs this worker completed successfully.", func(s fleet.WorkerStats) int64 { return s.Completed }},
+		{"cimserve_worker_jobs_failed_total", "counter", "Jobs this worker completed with an error.", func(s fleet.WorkerStats) int64 { return s.Failed }},
+		{"cimserve_worker_resumes_total", "counter", "Solves resumed from a shipped checkpoint.", func(s fleet.WorkerStats) int64 { return s.Resumed }},
+		{"cimserve_worker_checkpoints_shipped_total", "counter", "Checkpoints shipped to the coordinator.", func(s fleet.WorkerStats) int64 { return s.Shipped }},
+		{"cimserve_worker_reregisters_total", "counter", "Times the worker re-registered after losing the coordinator.", func(s fleet.WorkerStats) int64 { return s.ReRegisters }},
+	})
+	return e.err
 }
 
 // formatMetric renders integers without an exponent and floats tersely.

@@ -256,3 +256,22 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		t.Fatalf("/metrics exposition drifted from %s (rerun with -update only if the change is intended)\n--- got ---\n%s", path, got.Bytes())
 	}
 }
+
+// TestWorkerMetricsGolden pins a fleet worker's /metrics body byte for
+// byte for fixed counter values. CI scrapes
+// cimserve_worker_checkpoints_shipped_total out of it with awk.
+func TestWorkerMetricsGolden(t *testing.T) {
+	var got bytes.Buffer
+	st := fleet.WorkerStats{Claimed: 7, Completed: 5, Failed: 1, Resumed: 2, Shipped: 13, ReRegisters: 3}
+	if err := WriteWorkerMetrics(&got, "w-golden", st); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "worker_metrics.golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("worker /metrics drifted from %s\n--- got ---\n%s", path, got.Bytes())
+	}
+}
