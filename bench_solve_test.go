@@ -29,16 +29,16 @@ import (
 // scaling argument targets.
 var benchSizes = []int{1000, 5000, 10000, 85900}
 
-// benchModes are the execution modes the harness compares. "auto" is
-// Workers=WorkersAuto: the solver picks sequential or pooled per level
-// from the instance size, so it should track the better of the other
-// two at every size.
+// benchModes are the execution modes the harness compares. "pooled"
+// uses GOMAXPROCS workers; "auto" is Workers=WorkersAuto: the solver
+// picks sequential or pooled per level from the instance size, so it
+// should track the better of the other two at every size.
 var benchModes = []struct {
 	name    string
 	options cimsa.Options
 }{
-	{"sequential", cimsa.Options{Seed: 7, SkipHardware: true}},
-	{"pooled", cimsa.Options{Seed: 7, SkipHardware: true, Parallel: true}},
+	{"sequential", cimsa.Options{Seed: 7, SkipHardware: true, Workers: 1}},
+	{"pooled", cimsa.Options{Seed: 7, SkipHardware: true, Workers: runtime.GOMAXPROCS(0)}},
 	{"auto", cimsa.Options{Seed: 7, SkipHardware: true, Workers: cimsa.WorkersAuto}},
 }
 

@@ -204,30 +204,3 @@ func BenchmarkRenderAll(b *testing.B) {
 		experiments.RenderTable3(io.Discard, rows3)
 	}
 }
-
-// BenchmarkSolveParallelVsSequential measures the goroutine-parallel
-// chromatic update against the sequential mode on a mid-size workload
-// (results are bit-identical; only wall time differs).
-func BenchmarkSolveParallelVsSequential(b *testing.B) {
-	in := cimsa.GenerateInstance("bench-par", 5000, 1)
-	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{{"sequential", false}, {"parallel", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep, err := cimsa.Solve(in, cimsa.Options{
-					Seed:         7,
-					SkipHardware: true,
-					Parallel:     mode.parallel,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Length <= 0 {
-					b.Fatal("no tour")
-				}
-			}
-		})
-	}
-}

@@ -38,13 +38,13 @@ import (
 // package for facade users).
 type Instance = tsplib.Instance
 
-// WorkersAuto, assigned to Options.Workers, lets the solver pick the
-// pool size per solve from the instance size and GOMAXPROCS: small
-// instances run sequentially, paper-scale ones spread across cores.
-// Auto is the right default for mixed workloads (e.g. a solve service
-// fielding both 500-city and 85k-city jobs); like every other worker
-// count it is bit-identical to sequential execution.
-const WorkersAuto = clustered.WorkersAuto
+// WorkersAuto names the zero value of Options.Workers: the solver picks
+// the pool size per solve from the instance size and GOMAXPROCS, so
+// small instances run sequentially and paper-scale ones spread across
+// cores. Auto is the right default for mixed workloads (e.g. a solve
+// service fielding both 500-city and 85k-city jobs); like every other
+// worker count it is bit-identical to sequential execution.
+const WorkersAuto = 0
 
 // Tour is a cyclic visiting order of city indices.
 type Tour = tour.Tour
@@ -73,20 +73,16 @@ type Options struct {
 	Reference bool
 	// SkipHardware disables the chip PPA estimate.
 	SkipHardware bool
-	// Parallel updates non-adjacent clusters across a persistent worker
-	// pool, like the hardware updates all same-phase windows at once.
-	// Results are bit-identical to the sequential mode.
-	Parallel bool
-	// Workers sets the worker-pool size: any value > 1 enables the pool
-	// on its own, 1 forces fully inline execution, 0 picks GOMAXPROCS
-	// when Parallel is set (and stays sequential otherwise), and
-	// WorkersAuto (-1) lets the solver choose from the instance size and
-	// GOMAXPROCS — sequential where the pool cannot pay for its own
-	// hand-offs, pooled at paper scale. Every worker count produces
-	// bit-identical results — enforced in clustered's determinism tests
-	// and again at the service boundary (internal/faultinject), where
-	// solves run next to cancelled siblings with the scheduler's
-	// Progress hook injected.
+	// Workers sizes the persistent worker pool that updates
+	// non-adjacent clusters at once, like the hardware updates all
+	// same-phase windows in one cycle. 0 (WorkersAuto) lets the solver
+	// choose from the instance size and GOMAXPROCS: sequential where the
+	// pool cannot pay for its own hand-offs, pooled at paper scale. 1
+	// runs fully inline, and n > 1 uses an n-worker pool. Negative
+	// values are rejected. Every worker count produces bit-identical
+	// results — enforced in clustered's determinism tests and again at
+	// the service boundary (internal/faultinject), where solves run next
+	// to cancelled siblings with the scheduler's Progress hook injected.
 	Workers int
 	// Mode selects the randomness source by name: "noisy-cim" (default),
 	// "metropolis", "greedy" or "noisy-spins" (the ablations of
@@ -151,8 +147,8 @@ func (o Options) Validate() error {
 	if o.PMax != 0 && (o.PMax < 2 || o.PMax > 8) {
 		return fmt.Errorf("cimsa: PMax %d out of range 2..8 (0 defaults to 3)", o.PMax)
 	}
-	if o.Workers < WorkersAuto {
-		return fmt.Errorf("cimsa: negative Workers %d (only WorkersAuto = %d is allowed below 0)", o.Workers, WorkersAuto)
+	if o.Workers < 0 {
+		return fmt.Errorf("cimsa: negative Workers %d (0 picks the pool size automatically)", o.Workers)
 	}
 	if o.Restarts < 0 {
 		return fmt.Errorf("cimsa: negative Restarts %d", o.Restarts)
@@ -205,7 +201,6 @@ func SolveContext(ctx context.Context, in *Instance, opt Options) (*Report, erro
 		Fabric:             opt.Fabric,
 		FabricSeed:         opt.FabricSeed,
 		SkipHardwareReport: opt.SkipHardware,
-		Parallel:           opt.Parallel,
 		Workers:            opt.Workers,
 		Restarts:           opt.Restarts,
 		Progress:           opt.Progress,

@@ -123,3 +123,60 @@ func TestFacadeExplicitMatrixEndToEnd(t *testing.T) {
 		t.Fatalf("explicit-instance quality poor: %v", rep.OptimalRatio)
 	}
 }
+
+// TestTinyInstancesSolve drives every size around the clustering
+// threshold through the facade: up to 10 cities the hierarchy is one
+// level, solved exactly with nothing annealed, and 11 is the smallest
+// instance with an annealed level. Random, all-identical and collinear
+// points each run over the design-point and worker grid, with and
+// without the reference solver and the hardware report; every case
+// must return a valid tour of all n cities.
+func TestTinyInstancesSolve(t *testing.T) {
+	for n := 3; n <= 11; n++ {
+		identical := make([][2]float64, n)
+		collinear := make([][2]float64, n)
+		for i := range identical {
+			identical[i] = [2]float64{5, 5}
+			collinear[i] = [2]float64{float64(i * 3), float64(i * 6)}
+		}
+		instances := []*cimsa.Instance{
+			cimsa.GenerateInstance(fmt.Sprintf("tiny%d", n), n, uint64(n)),
+			loadPoints(t, fmt.Sprintf("same%d", n), identical),
+			loadPoints(t, fmt.Sprintf("line%d", n), collinear),
+		}
+		for _, in := range instances {
+			for _, pmax := range []int{2, 3, 4, 8} {
+				for _, workers := range []int{1, 0, 4} {
+					for _, flags := range []struct{ ref, noHW bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+						opt := cimsa.Options{PMax: pmax, Seed: 1, Workers: workers, Reference: flags.ref, SkipHardware: flags.noHW}
+						rep, err := cimsa.Solve(in, opt)
+						if err != nil {
+							t.Errorf("%s %+v: %v", in.Name, opt, err)
+							continue
+						}
+						if err := rep.Tour.Validate(n); err != nil {
+							t.Errorf("%s %+v: invalid tour %v: %v", in.Name, opt, rep.Tour, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// loadPoints builds a EUC_2D instance from coordinates through the
+// TSPLIB reader.
+func loadPoints(t *testing.T, name string, pts [][2]float64) *cimsa.Instance {
+	t.Helper()
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "NAME : %s\nTYPE : TSP\nDIMENSION : %d\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n", name, len(pts))
+	for i, p := range pts {
+		fmt.Fprintf(&sb, "%d %g %g\n", i+1, p[0], p[1])
+	}
+	sb.WriteString("EOF\n")
+	in, err := cimsa.LoadInstance(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}

@@ -56,8 +56,7 @@ func runTSP() {
 		fabric   = flag.String("fabric", "", "noise substrate: sram (default) | mram | fefet | clean")
 		fabSeed  = flag.Uint64("fabric-seed", 0, "pin the fabricated chip explicitly (0 derives it from -seed)")
 		restarts = flag.Int("restarts", 1, "independent replicas; the best tour wins")
-		parallel = flag.Bool("parallel", false, "update non-adjacent clusters across a worker pool (GOMAXPROCS workers)")
-		workers  = flag.String("workers", "0", "worker-pool size: a count, 0 (GOMAXPROCS with -parallel), or auto (pick from instance size; results identical for any value)")
+		workers  = flag.String("workers", "auto", "worker-pool size: auto or 0 (pick from instance size), 1 (sequential) or a count; results are identical for any value")
 		timeout  = flag.Duration("timeout", 0, "abort the solve after this long, e.g. 90s or 10m (0 = no limit)")
 		ckptDir  = flag.String("checkpoint", "", "write durable solve checkpoints to this directory (one file per instance+seed)")
 		ckptN    = flag.Int("checkpoint-every", 1, "with -checkpoint: write one snapshot per this many write-back epochs")
@@ -101,7 +100,6 @@ func runTSP() {
 		Fabric:       *fabric,
 		FabricSeed:   *fabSeed,
 		Restarts:     *restarts,
-		Parallel:     *parallel,
 		Workers:      nWorkers,
 	}
 	if *ckptDir != "" {
@@ -192,8 +190,7 @@ func runTSP() {
 }
 
 // parseWorkers maps the -workers flag onto Options.Workers: "auto"
-// becomes the WorkersAuto sentinel, anything else must be a
-// non-negative count.
+// becomes 0, anything else must be a non-negative count.
 func parseWorkers(s string) (int, error) {
 	if s == "auto" {
 		return cimsa.WorkersAuto, nil

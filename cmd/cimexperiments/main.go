@@ -50,7 +50,7 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "instance scale in (0,1] for solved workloads")
 		seed    = flag.Uint64("seed", 1, "seed")
 		samples = flag.Int("samples", 1000, "Fig. 6 Monte Carlo samples")
-		workers = flag.Int("workers", 0, "solver worker-pool size (0 = sequential; results identical for any value)")
+		workers = flag.Int("workers", 0, "solver worker-pool size (0 = auto, 1 = sequential; results identical for any value)")
 		csvDir  = flag.String("csvdir", "", "also write machine-readable CSVs into this directory")
 	)
 	flag.Parse()

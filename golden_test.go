@@ -79,9 +79,6 @@ func TestGoldenDefaultFabricBitIdentity(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, cimsa.WorkersAuto} {
 				opts := tc.opts
 				opts.Workers = workers
-				if workers > 1 {
-					opts.Parallel = true
-				}
 				rep, err := cimsa.Solve(in, opts)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -111,9 +108,6 @@ func TestFabricWorkerDeterminism(t *testing.T) {
 			var refLen float64
 			for i, workers := range []int{1, 4} {
 				opts := cimsa.Options{Seed: 21, SkipHardware: true, Fabric: fabric, Workers: workers}
-				if workers > 1 {
-					opts.Parallel = true
-				}
 				rep, err := cimsa.Solve(in, opts)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)

@@ -92,21 +92,17 @@ type Options struct {
 	// paths and inter-cluster link edges, in centroid-distance units)
 	// after every iteration of every annealed level.
 	RecordTrace bool
-	// Parallel updates the clusters of each chromatic phase across a
-	// persistent worker pool, mirroring the hardware's
-	// all-windows-at-once update. Results are bit-identical to the
-	// sequential mode: proposals and accept randomness are derived from
-	// (seed, level, iteration, cluster) counters, not from a shared
+	// Workers sizes the persistent worker pool that updates the clusters
+	// of each chromatic phase at once, mirroring the hardware's
+	// all-windows-at-once update: 0 resolves it from the instance size
+	// and GOMAXPROCS (sequential for small instances, pooled for
+	// paper-scale ones), 1 forces fully inline execution and n > 1 fixes
+	// an n-worker pool. Whatever the pool size, each phase only engages
+	// as many workers as it has cursor grabs for, so upper hierarchy
+	// levels run inline even on a wide pool. Every value produces
+	// bit-identical results: proposals and accept randomness are derived
+	// from (seed, level, iteration, cluster) counters, not from a shared
 	// stream.
-	Parallel bool
-	// Workers sets the worker-pool size: > 0 fixes it explicitly (1
-	// forces fully inline execution), 0 picks GOMAXPROCS when Parallel
-	// is set and 1 otherwise, and WorkersAuto (-1) resolves it from the
-	// instance size and GOMAXPROCS — sequential for small instances,
-	// pooled for paper-scale ones. Whatever the pool size, each phase
-	// only engages as many workers as it has cursor grabs for, so upper
-	// hierarchy levels run inline even on a wide pool. Every value
-	// produces bit-identical results.
 	Workers int
 	// WeightBits truncates stored weights to this many significant bits
 	// (1-8); 0 or 8 keeps full precision. Precision ablation for the
@@ -252,9 +248,14 @@ func SolveContext(ctx context.Context, in *tsplib.Instance, opt Options) (Result
 		return Result{}, err
 	}
 	var stats Stats
-	stats.BottomWindows = len(h.Levels[1])
+	if h.NumLevels() > 1 {
+		stats.BottomWindows = len(h.Levels[1])
+	}
 
 	// Solve the top level directly: it has at most TopThreshold elements.
+	// An instance that small is a one-level hierarchy whose top is the
+	// cities themselves, so the exact order is the tour and no level is
+	// annealed.
 	top := h.Top()
 	order, err := solveTop(top, in.Metric)
 	if err != nil {

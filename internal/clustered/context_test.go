@@ -14,7 +14,7 @@ import (
 // no randomness.
 func TestSolveContextBitIdentical(t *testing.T) {
 	in := tsplib.Generate("ctx-ident", 400, tsplib.StyleUniform, 3)
-	base, err := Solve(in, Options{Seed: 9})
+	base, err := Solve(in, Options{Seed: 9, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

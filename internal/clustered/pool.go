@@ -30,21 +30,11 @@ import (
 // shards and merged once per level; every counter is a sum, so the
 // merge is order-independent too.
 
-// WorkersAuto is the Options.Workers sentinel that lets the solver pick
-// the pool size itself from the instance size and GOMAXPROCS: small
-// instances run sequentially (their phases are too short to amortize
-// even one barrier hand-off), large ones get up to GOMAXPROCS workers.
-// Within a solve, the per-phase fan-out cap then decides per level how
-// much of that pool a dispatch actually engages, so upper hierarchy
-// levels of a big instance still run inline. Like every other worker
-// count, auto produces bit-identical results.
-const WorkersAuto = -1
-
 const (
-	// autoMinCities is the instance size below which WorkersAuto stays
-	// sequential: the leaf level of a smaller instance has so few
-	// clusters per chromatic phase that nearly every dispatch would run
-	// inline under the fan-out cap anyway.
+	// autoMinCities is the instance size below which an automatic
+	// (Workers == 0) pool stays sequential: the leaf level of a smaller
+	// instance has so few clusters per chromatic phase that nearly every
+	// dispatch would run inline under the fan-out cap anyway.
 	autoMinCities = 2000
 	// autoCitiesPerWorker sizes the auto pool: one worker per this many
 	// cities, capped at GOMAXPROCS. The leaf level has ~n/3 clusters,
@@ -52,22 +42,20 @@ const (
 	autoCitiesPerWorker = 2500
 )
 
-// effectiveWorkers resolves the Workers/Parallel knobs to a pool size
-// for an n-city instance.
+// effectiveWorkers resolves Options.Workers to a pool size for an
+// n-city instance: an explicit count as given, 0 from the instance size
+// and GOMAXPROCS. Small instances run sequentially (their phases are
+// too short to amortize even one barrier hand-off), large ones get up
+// to GOMAXPROCS workers; within a solve, the per-phase fan-out cap then
+// decides per level how much of that pool a dispatch actually engages.
 func (o Options) effectiveWorkers(n int) int {
-	switch {
-	case o.Workers == WorkersAuto:
-		return autoWorkers(n, runtime.GOMAXPROCS(0))
-	case o.Workers > 0:
+	if o.Workers > 0 {
 		return o.Workers
-	case o.Parallel:
-		return runtime.GOMAXPROCS(0)
-	default:
-		return 1
 	}
+	return autoWorkers(n, runtime.GOMAXPROCS(0))
 }
 
-// autoWorkers picks the WorkersAuto pool size for an n-city instance on
+// autoWorkers picks the automatic pool size for an n-city instance on
 // a procs-wide runtime.
 func autoWorkers(n, procs int) int {
 	if procs < 2 || n < autoMinCities {

@@ -11,9 +11,8 @@ import (
 	"cimsa/internal/tsplib"
 )
 
-// TestEffectiveWorkers pins the Workers/Parallel resolution table,
-// including the WorkersAuto sentinel and the 0/1 edge cases with and
-// without Parallel.
+// TestEffectiveWorkers pins the Workers resolution table: an explicit
+// count as given, 0 resolved automatically from the instance size.
 func TestEffectiveWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
@@ -22,23 +21,15 @@ func TestEffectiveWorkers(t *testing.T) {
 		n    int
 		want int
 	}{
-		{"zero sequential", Options{}, 5000, 1},
-		{"zero parallel", Options{Parallel: true}, 5000, procs},
 		{"one inline", Options{Workers: 1}, 5000, 1},
-		{"one inline despite parallel", Options{Workers: 1, Parallel: true}, 5000, 1},
 		{"explicit", Options{Workers: 5}, 50, 5},
-		{"explicit overrides parallel", Options{Workers: 3, Parallel: true}, 50, 3},
-		{"auto small instance", Options{Workers: WorkersAuto}, autoMinCities - 1, 1},
-		{"auto small despite parallel", Options{Workers: WorkersAuto, Parallel: true}, autoMinCities - 1, 1},
+		{"zero is auto", Options{}, 100000, autoWorkers(100000, procs)},
+		{"auto small instance", Options{}, autoMinCities - 1, 1},
 	}
 	for _, c := range cases {
 		if got := c.opt.effectiveWorkers(c.n); got != c.want {
 			t.Errorf("%s: effectiveWorkers(%d) = %d, want %d", c.name, c.n, got, c.want)
 		}
-	}
-	// Auto at paper scale resolves against GOMAXPROCS explicitly.
-	if got, want := (Options{Workers: WorkersAuto}).effectiveWorkers(100000), autoWorkers(100000, procs); got != want {
-		t.Errorf("auto large: got %d, want %d", got, want)
 	}
 }
 
@@ -73,14 +64,15 @@ func TestWorkersAutoBitIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	in := tsplib.Generate("cl-auto", autoMinCities+600, tsplib.StyleClustered, 17)
 	opt := solveOpts(ModeNoisyCIM, 18)
-	if w := (Options{Workers: WorkersAuto}).effectiveWorkers(in.N()); w < 2 {
+	if w := (Options{}).effectiveWorkers(in.N()); w < 2 {
 		t.Fatalf("auto resolved to %d workers; test needs a real pool", w)
 	}
+	opt.Workers = 1
 	seq, err := Solve(in, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Workers = WorkersAuto
+	opt.Workers = 0
 	auto, err := Solve(in, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -61,7 +61,7 @@ func resumeToEnd(t *testing.T, in *tsplib.Instance, o Options, snap *Snapshot) R
 func TestResumeBitIdentical(t *testing.T) {
 	in := snapshotTestInstance(t, 300)
 	for _, mode := range []Mode{ModeNoisyCIM, ModeMetropolis} {
-		base := Options{Seed: 7, Mode: mode}
+		base := Options{Seed: 7, Mode: mode, Workers: 1}
 		want, err := Solve(in, base)
 		if err != nil {
 			t.Fatal(err)

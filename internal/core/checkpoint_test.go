@@ -98,16 +98,15 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 	in := ckptInstance()
 	base := ckptConfig()
 	base.Restarts = 2
+	base.Workers = 1
 	want, _, _ := runUntil(t, base, in, -1)
 
 	for _, killW := range []int{1, 4} {
 		for _, resumeW := range []int{1, 4} {
 			cfg := base
-			cfg.Parallel = killW > 1
 			cfg.Workers = killW
 			_, snap, _ := runUntil(t, cfg, in, 5)
 			cfg = base
-			cfg.Parallel = resumeW > 1
 			cfg.Workers = resumeW
 			cfg.Resume = snap
 			a, err := New(cfg)

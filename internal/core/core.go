@@ -45,12 +45,9 @@ type Config struct {
 	Tech ppa.Tech
 	// SkipHardwareReport disables the chip PPA evaluation.
 	SkipHardwareReport bool
-	// Parallel enables worker-pool-parallel chromatic phase updates.
-	Parallel bool
-	// Workers sets the solver's worker-pool size: > 0 explicit, 0 picks
-	// GOMAXPROCS when Parallel is set, clustered.WorkersAuto (-1)
-	// resolves per solve from the instance size and GOMAXPROCS. Results
-	// are bit-identical for every value.
+	// Workers sets the solver's worker-pool size: 0 resolves it per
+	// solve from the instance size and GOMAXPROCS, 1 runs inline, n > 1
+	// is an n-worker pool. Results are bit-identical for every value.
 	Workers int
 	// Restarts runs that many independent replicas (distinct proposal
 	// seeds and noise fabrics) and keeps the best tour — the software
@@ -193,8 +190,11 @@ type Report struct {
 	// work counter is the sum over all replicas (the energy model sees
 	// the total work done), while Tour/Length come from the best one.
 	Solver clustered.Stats
-	// Chip carries the hardware PPA evaluation (zero value when
-	// SkipHardwareReport is set or the strategy is not semi-flexible).
+	// Chip carries the hardware PPA evaluation. It is the zero value
+	// when SkipHardwareReport is set, when the strategy is not
+	// semi-flexible, or when no level was annealed (an instance of at
+	// most cluster.TopThreshold cities is solved exactly, so no chip
+	// runs).
 	Chip ppa.ChipReport
 }
 
@@ -245,7 +245,6 @@ func (a *Annealer) SolveContext(ctx context.Context, in *tsplib.Instance) (*Repo
 			Schedule: a.cfg.Schedule,
 			Mode:     a.cfg.Mode,
 			Seed:     seed,
-			Parallel: a.cfg.Parallel,
 			Workers:  a.cfg.Workers,
 		}
 		if rep == startRep {
@@ -324,7 +323,7 @@ func (a *Annealer) SolveContext(ctx context.Context, in *tsplib.Instance) (*Repo
 		Length:   res.Length,
 		Solver:   res.Stats,
 	}
-	if !a.cfg.SkipHardwareReport && a.cfg.Strategy.Kind == cluster.SemiFlex {
+	if !a.cfg.SkipHardwareReport && a.cfg.Strategy.Kind == cluster.SemiFlex && runLevels > 0 {
 		prof := ppa.RunProfile{
 			Levels:             runLevels,
 			IterationsPerLevel: a.cfg.Schedule.TotalIters(),

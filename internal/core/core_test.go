@@ -216,11 +216,11 @@ func TestRestartStatsInvariance(t *testing.T) {
 
 func TestParallelThroughCore(t *testing.T) {
 	in := tsplib.Generate("core-par", 300, tsplib.StyleUniform, 8)
-	seq, err := New(Config{Seed: 11})
+	seq, err := New(Config{Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := New(Config{Seed: 11, Parallel: true})
+	par, err := New(Config{Seed: 11, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

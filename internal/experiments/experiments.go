@@ -30,8 +30,9 @@ type Config struct {
 	// paper's 1000.
 	MCSamples int
 	// Workers sets the solver's worker-pool size for every solved
-	// workload; 0 keeps the sequential path. Results are bit-identical
-	// for any value, only wall time changes.
+	// workload; 0 = auto (picked from the instance size), 1 =
+	// sequential. Results are bit-identical for any value, only wall
+	// time changes.
 	Workers int
 }
 

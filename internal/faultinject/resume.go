@@ -138,7 +138,6 @@ func (rr *resumeRun) options(workers int) cimsa.Options {
 	return cimsa.Options{
 		PMax:         3,
 		Seed:         rr.sc.SolverSeed,
-		Parallel:     workers > 1,
 		Workers:      workers,
 		SkipHardware: true,
 		Checkpoint:   cimsa.Checkpoint{Dir: rr.dir, Resume: true},

@@ -63,7 +63,7 @@ func TestServiceSolveBitIdenticalAcrossWorkerCounts(t *testing.T) {
 
 	var base *cimsa.Report
 	for _, workers := range []int{1, 2, 4} {
-		opts := cimsa.Options{Seed: 11, Parallel: true, Workers: workers, SkipHardware: true}
+		opts := cimsa.Options{Seed: 11, Workers: workers, SkipHardware: true}
 		rep := solveThroughService(t, sched, n, opts)
 		if base == nil {
 			base = rep

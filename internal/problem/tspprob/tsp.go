@@ -70,15 +70,19 @@ type OptionsSpec struct {
 	Seed     uint64 `json:"seed,omitempty"`
 	Mode     string `json:"mode,omitempty"`
 	Restarts int    `json:"restarts,omitempty"`
-	Parallel bool   `json:"parallel,omitempty"`
-	// Workers follows cimsa.Options.Workers: a count, 0 (GOMAXPROCS
-	// with parallel), or -1 for auto — the right setting for a service
-	// fielding mixed job sizes, since each solve picks sequential or
-	// pooled for itself. Any other negative value is rejected by
-	// validation.
-	Workers      int  `json:"workers,omitempty"`
-	Reference    bool `json:"reference,omitempty"`
-	SkipHardware bool `json:"skip_hardware,omitempty"`
+	// Workers follows cimsa.Options.Workers: 0 (or omitted) picks the
+	// pool size per solve, the right setting for a service fielding
+	// mixed job sizes; 1 is sequential and n > 1 an n-worker pool. -1,
+	// the auto sentinel of older clients and journals, still means auto;
+	// any other negative value is rejected by validation.
+	Workers int `json:"workers,omitempty"`
+	// LegacyParallel accepts and ignores the "parallel" switch that
+	// once enabled the worker pool next to Workers. Journals written
+	// while it existed still carry it, and they replay through the
+	// strict decoder, which would reject an unknown field.
+	LegacyParallel bool `json:"parallel,omitempty"`
+	Reference      bool `json:"reference,omitempty"`
+	SkipHardware   bool `json:"skip_hardware,omitempty"`
 	// Fabric selects the noise substrate; omitted means the paper's
 	// SRAM fabric with the pre-fabric seed derivation, so journal
 	// records written before fabrics existed replay identically.
@@ -102,10 +106,12 @@ func (o OptionsSpec) ToOptions() cimsa.Options {
 		Seed:         o.Seed,
 		Mode:         o.Mode,
 		Restarts:     o.Restarts,
-		Parallel:     o.Parallel,
 		Workers:      o.Workers,
 		Reference:    o.Reference,
 		SkipHardware: o.SkipHardware,
+	}
+	if o.Workers == -1 {
+		opts.Workers = cimsa.WorkersAuto
 	}
 	if o.Fabric != nil {
 		opts.Fabric = o.Fabric.Kind
@@ -198,7 +204,7 @@ func (t *Task) InstanceHash() string {
 const SolverVersion = "tsp/v1"
 
 // DesignHash folds every option that can change the solve's output —
-// and nothing else. Parallel and Workers are deliberately excluded:
+// and nothing else. Workers is deliberately excluded:
 // results are bit-identical at every worker count (enforced by the
 // determinism tests), so they are execution detail, not design.
 //

@@ -77,7 +77,7 @@ func newTestServer(t *testing.T, cfg Config) (*Scheduler, string) {
 // HTTP, observe SSE progress events, and fetch a result bit-identical
 // to a direct cimsa.Solve with the same instance and options.
 func TestServiceEndToEnd(t *testing.T) {
-	opts := cimsa.Options{PMax: 3, Seed: 7, SkipHardware: true, Parallel: true}
+	opts := cimsa.Options{PMax: 3, Seed: 7, SkipHardware: true, Workers: 2}
 	direct, err := cimsa.Solve(cimsa.GenerateInstance("e2e1k", 1000, 42), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	_, base := newTestServer(t, Config{MaxConcurrent: 2, QueueDepth: 8})
 	resp := postJSON(t, base+"/v1/jobs", SubmitRequest{
 		Generate: &GenerateSpec{Name: "e2e1k", N: 1000, Seed: 42},
-		Options:  OptionsSpec{PMax: 3, Seed: 7, SkipHardware: true, Parallel: true},
+		Options:  OptionsSpec{PMax: 3, Seed: 7, SkipHardware: true, Workers: 2},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit returned %d", resp.StatusCode)
@@ -258,7 +258,7 @@ func TestServiceErrorMapping(t *testing.T) {
 		`{"tsplib":"TYPE : TSP\ngarbage\n"}`, // unparseable TSPLIB
 		`{"generate":{"n":100},"options":{"pmax":77}}`,    // invalid options
 		`{"generate":{"n":100},"options":{"mode":"x"}}`,   // unknown mode
-		`{"generate":{"n":100},"options":{"workers":-2}}`, // negative workers (-1 is auto)
+		`{"generate":{"n":100},"options":{"workers":-2}}`, // negative workers (-1 is legacy auto)
 	}
 	for _, body := range badBodies {
 		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -271,12 +271,11 @@ func TestServiceErrorMapping(t *testing.T) {
 		}
 	}
 
-	// workers:-1 is the auto sentinel, not an invalid count: it must
-	// map straight through to cimsa.WorkersAuto and validate clean.
+	// workers:-1 is the legacy auto sentinel, not an invalid count: it
+	// must map to 0 (auto) and validate clean.
 	autoOpts := OptionsSpec{Workers: -1}.ToOptions()
-	if autoOpts.Workers != cimsa.WorkersAuto {
-		t.Errorf("OptionsSpec{Workers: -1} mapped to %d, want cimsa.WorkersAuto (%d)",
-			autoOpts.Workers, cimsa.WorkersAuto)
+	if autoOpts.Workers != 0 {
+		t.Errorf("OptionsSpec{Workers: -1} mapped to %d, want 0 (auto)", autoOpts.Workers)
 	}
 	if err := autoOpts.Validate(); err != nil {
 		t.Errorf("workers:-1 (auto) rejected by validation: %v", err)

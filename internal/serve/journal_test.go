@@ -339,6 +339,35 @@ func TestHealthzReportsRecovery(t *testing.T) {
 	}
 }
 
+// TestTinyTSPJobSolvesOnJournaledServer: a tsp job too small to
+// cluster (a one-level hierarchy, solved exactly, hardware report on)
+// reaches done on a journaled server, and the server keeps answering.
+func TestTinyTSPJobSolvesOnJournaledServer(t *testing.T) {
+	srv, _, _ := bootServer(t, t.TempDir())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"tsp":{"generate":{"name":"x","n":5,"seed":1}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := decodeJSON[Status](t, resp)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d", resp.StatusCode)
+	}
+	if final := pollState(t, ts.URL, st.ID, StateDone, 30*time.Second); final.N != 5 {
+		t.Fatalf("final status %+v", final)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after tiny job = %d", resp.StatusCode)
+	}
+}
+
 // TestSubmitJournalsThroughHTTP: the HTTP submit path persists the
 // request body, and the new checkpoint metrics appear on /metrics.
 func TestSubmitJournalsThroughHTTP(t *testing.T) {
@@ -424,6 +453,9 @@ func TestJournalMixedVersionReplay(t *testing.T) {
 		`{"op":"release","id":"v1"}`,
 		`{"op":"claim","id":"v2","node":"w1","expires":"2026-08-01T10:02:00Z"}`,
 		`{"op":"claim","id":"gone","node":"w1","expires":"2026-08-01T10:02:00Z"}`,
+		// v3: written while a "parallel" switch sat next to Workers and
+		// -1 was the auto sentinel; both now mean auto.
+		`{"op":"submit","id":"v3","problem":"tsp","submitted":"2026-09-01T10:00:00Z","request":{"tsp":{"generate":{"name":"pool","n":40,"seed":5},"options":{"pmax":2,"seed":5,"skip_hardware":true,"parallel":true,"workers":-1}}}}`,
 		// Torn trailing line: the crash hit mid-append.
 		`{"op":"submit","id":"torn","probl`,
 	}
@@ -432,8 +464,8 @@ func TestJournalMixedVersionReplay(t *testing.T) {
 	}
 
 	_, entries := openTestJournal(t, path)
-	if len(entries) != 3 {
-		t.Fatalf("replay returned %d entries (%+v), want 3", len(entries), entries)
+	if len(entries) != 4 {
+		t.Fatalf("replay returned %d entries (%+v), want 4", len(entries), entries)
 	}
 	byID := map[string]JournalEntry{}
 	for _, e := range entries {
@@ -452,8 +484,8 @@ func TestJournalMixedVersionReplay(t *testing.T) {
 	if v2.Tenant != "acme" || v2.ClaimedBy != "w1" || v2.ClaimExpires.IsZero() {
 		t.Fatalf("modern entry lost tenancy or its outstanding claim: %+v", v2)
 	}
-	if entries[0].ID != "v0" || entries[1].ID != "v1" || entries[2].ID != "v2" {
-		t.Fatalf("submission order lost: %v, %v, %v", entries[0].ID, entries[1].ID, entries[2].ID)
+	if entries[0].ID != "v0" || entries[1].ID != "v1" || entries[2].ID != "v2" || entries[3].ID != "v3" {
+		t.Fatalf("submission order lost: %v, %v, %v, %v", entries[0].ID, entries[1].ID, entries[2].ID, entries[3].ID)
 	}
 
 	// Every surviving generation must still build a runnable task
@@ -469,6 +501,9 @@ func TestJournalMixedVersionReplay(t *testing.T) {
 		}
 		if task.Problem() != "tsp" {
 			t.Fatalf("entry %s: rebuilt as %q", e.ID, task.Problem())
+		}
+		if err := task.Validate(); err != nil {
+			t.Fatalf("entry %s: rebuilt options no longer validate: %v", e.ID, err)
 		}
 	}
 }

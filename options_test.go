@@ -22,6 +22,7 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"pmax above range", cimsa.Options{PMax: 9}, "PMax"},
 		{"pmax negative", cimsa.Options{PMax: -3}, "PMax"},
 		{"negative workers", cimsa.Options{Workers: -2}, "Workers"},
+		{"old auto sentinel", cimsa.Options{Workers: -1}, "Workers"},
 		{"negative restarts", cimsa.Options{Restarts: -2}, "Restarts"},
 		{"unknown mode", cimsa.Options{Mode: "quantum"}, "Mode"},
 	}
@@ -50,9 +51,8 @@ func TestOptionsValidateAccepts(t *testing.T) {
 		{},
 		{PMax: 2},
 		{PMax: 8, Workers: 4, Restarts: 3, Mode: "metropolis"},
-		{Mode: "noisy-spins", Parallel: true},
+		{Mode: "noisy-spins", Workers: 1},
 		{Workers: cimsa.WorkersAuto},
-		{Workers: cimsa.WorkersAuto, Parallel: true},
 	} {
 		if err := opt.Validate(); err != nil {
 			t.Errorf("valid options %+v rejected: %v", opt, err)
