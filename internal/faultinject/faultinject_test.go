@@ -121,9 +121,7 @@ func TestSolverErrorAtChosenEpoch(t *testing.T) {
 	}
 	sc := fixedSchedule(105, 1, 2, 8, ops)
 	h := NewHarness(t, sc)
-	for i, op := range sc.Ops {
-		h.step(i, op)
-	}
+	drive(h, sc.Ops)
 	tj := h.jobs[0]
 	st := tj.job.Status()
 	if st.State != serve.StateFailed {
@@ -191,9 +189,7 @@ func TestMixedProblemGaugeConservation(t *testing.T) {
 	}
 	sc := fixedSchedule(108, 2, 8, 8, ops)
 	h := NewHarness(t, sc)
-	for i, op := range sc.Ops {
-		h.step(i, op)
-	}
+	drive(h, sc.Ops)
 	seen := map[string]bool{}
 	for _, tj := range h.jobs {
 		seen[tj.problem] = true
@@ -204,21 +200,6 @@ func TestMixedProblemGaugeConservation(t *testing.T) {
 		}
 	}
 	h.Finish()
-	// After the full drain the labeled books must balance to the last
-	// job and partition the global total.
-	m := &h.sched.Metrics
-	var partition int64
-	for _, p := range []string{"tsp", "maxcut", "ising"} {
-		pm := m.Problem(p)
-		sum := pm.Queued.Load() + pm.Running.Load() + pm.Done.Load() + pm.Failed.Load() + pm.Canceled.Load()
-		if sum != pm.Submitted.Load() {
-			t.Fatalf("problem %s: buckets sum to %d, submitted %d", p, sum, pm.Submitted.Load())
-		}
-		partition += pm.Submitted.Load()
-	}
-	if got := m.Submitted.Load(); partition != got {
-		t.Fatalf("per-problem submitted counts sum to %d, global submitted %d", partition, got)
-	}
 }
 
 // Tenant storms against quotas: concurrent multi-tenant submissions
@@ -252,9 +233,7 @@ func TestTenantQuotaStormConservation(t *testing.T) {
 		},
 	}
 	h := NewHarness(t, sc)
-	for i, op := range sc.Ops {
-		h.step(i, op)
-	}
+	drive(h, sc.Ops)
 	if h.rejected == 0 {
 		t.Fatal("quota schedule produced no rejections; caps not exercised")
 	}
@@ -279,9 +258,7 @@ func TestCachedDuplicateSettles(t *testing.T) {
 		},
 	}
 	h := NewHarness(t, sc)
-	for i, op := range sc.Ops {
-		h.step(i, op)
-	}
+	drive(h, sc.Ops)
 	if len(h.dups) != 2 {
 		t.Fatalf("expected 2 tracked duplicates, have %d", len(h.dups))
 	}
@@ -300,107 +277,45 @@ func TestCachedDuplicateSettles(t *testing.T) {
 	h.Finish()
 }
 
-// TestSeededScheduleMatrix runs generated schedules for a fixed seed
-// batch; CI and local runs can extend the matrix with a comma-separated
-// FAULTINJECT_SEEDS. Any failure prints its seed, and rerunning with
-// FAULTINJECT_SEEDS=<seed> replays the identical schedule.
-func TestSeededScheduleMatrix(t *testing.T) {
-	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	if env := os.Getenv("FAULTINJECT_SEEDS"); env != "" {
+// seedMatrix runs one parallel subtest per seed: defaults, or the
+// comma-separated list in the env variable. A failure prints its seed,
+// and rerunning with env=<seed> replays the identical schedule.
+func seedMatrix(t *testing.T, env string, defaults []uint64, run func(*testing.T, uint64)) {
+	seeds := defaults
+	if list := os.Getenv(env); list != "" {
 		seeds = nil
-		for _, f := range strings.Split(env, ",") {
+		for _, f := range strings.Split(list, ",") {
 			s, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
 			if err != nil {
-				t.Fatalf("FAULTINJECT_SEEDS entry %q: %v", f, err)
+				t.Fatalf("%s entry %q: %v", env, f, err)
 			}
 			seeds = append(seeds, s)
 		}
 	}
 	for _, seed := range seeds {
-		seed := seed
 		t.Run(strconv.FormatUint(seed, 10), func(t *testing.T) {
 			t.Parallel()
-			RunSchedule(t, GenSchedule(seed))
+			run(t, seed)
 		})
 	}
+}
+
+// TestSeededScheduleMatrix runs generated schedules for a fixed seed
+// batch; CI and local runs can extend the matrix with a comma-separated
+// FAULTINJECT_SEEDS.
+func TestSeededScheduleMatrix(t *testing.T) {
+	seedMatrix(t, "FAULTINJECT_SEEDS", []uint64{1, 2, 3, 4, 5, 6, 7, 8}, func(t *testing.T, seed uint64) {
+		RunSchedule(t, GenSchedule(seed))
+	})
 }
 
 // TestTenantSeededMatrix runs generated multi-tenant, cache-enabled
 // schedules; CI extends the matrix with a comma-separated
-// FAULTINJECT_TENANT_SEEDS. Failures replay by seed, exactly like the
-// untenanted matrix.
+// FAULTINJECT_TENANT_SEEDS.
 func TestTenantSeededMatrix(t *testing.T) {
-	seeds := []uint64{1, 2, 3, 4, 5, 6}
-	if env := os.Getenv("FAULTINJECT_TENANT_SEEDS"); env != "" {
-		seeds = nil
-		for _, f := range strings.Split(env, ",") {
-			s, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
-			if err != nil {
-				t.Fatalf("FAULTINJECT_TENANT_SEEDS entry %q: %v", f, err)
-			}
-			seeds = append(seeds, s)
-		}
-	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(strconv.FormatUint(seed, 10), func(t *testing.T) {
-			t.Parallel()
-			RunSchedule(t, GenTenantSchedule(seed))
-		})
-	}
-}
-
-// TestGenTenantScheduleDeterministic pins seed replay for the tenant
-// generator too, policies included.
-func TestGenTenantScheduleDeterministic(t *testing.T) {
-	a, b := GenTenantSchedule(42), GenTenantSchedule(42)
-	if a.Slots != b.Slots || a.Depth != b.Depth || a.Replay != b.Replay ||
-		len(a.Tenants) != len(b.Tenants) || len(a.Ops) != len(b.Ops) {
-		t.Fatalf("schedule dimensions diverge: %+v vs %+v", a, b)
-	}
-	for i := range a.Tenants {
-		if a.Tenants[i] != b.Tenants[i] {
-			t.Fatalf("tenant pool diverges at %d: %q vs %q", i, a.Tenants[i], b.Tenants[i])
-		}
-	}
-	for name, pa := range a.Policies {
-		if pb, ok := b.Policies[name]; !ok || pa != pb {
-			t.Fatalf("policy %q diverges: %+v vs %+v", name, pa, b.Policies[name])
-		}
-	}
-	for i := range a.Ops {
-		if a.Ops[i] != b.Ops[i] {
-			t.Fatalf("op %d diverges: %+v vs %+v", i, a.Ops[i], b.Ops[i])
-		}
-	}
-}
-
-// TestGenScheduleDeterministic pins the replay guarantee itself: the
-// same seed must expand to the identical schedule, or "rerun with the
-// printed seed" would be a lie.
-func TestGenScheduleDeterministic(t *testing.T) {
-	a, b := GenSchedule(42), GenSchedule(42)
-	if a.Slots != b.Slots || a.Depth != b.Depth || a.Replay != b.Replay || len(a.Ops) != len(b.Ops) {
-		t.Fatalf("schedule dimensions diverge: %+v vs %+v", a, b)
-	}
-	for i := range a.Ops {
-		if a.Ops[i] != b.Ops[i] {
-			t.Fatalf("op %d diverges: %+v vs %+v", i, a.Ops[i], b.Ops[i])
-		}
-	}
-	c := GenSchedule(43)
-	same := len(a.Ops) == len(c.Ops)
-	if same {
-		for i := range a.Ops {
-			if a.Ops[i] != c.Ops[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same && a.Slots == c.Slots && a.Depth == c.Depth && a.Replay == c.Replay {
-		t.Fatal("different seeds produced identical schedules")
-	}
+	seedMatrix(t, "FAULTINJECT_TENANT_SEEDS", []uint64{1, 2, 3, 4, 5, 6}, func(t *testing.T, seed uint64) {
+		RunSchedule(t, GenTenantSchedule(seed))
+	})
 }
 
 // Regression for the queued-gauge race, sharp form: the solver itself
@@ -464,23 +379,7 @@ func TestQueuedGaugeNeverNegativeUnderChurn(t *testing.T) {
 	sched := serve.NewScheduler(serve.Config{
 		MaxConcurrent: 4, QueueDepth: 64, Solve: instant, SweepEvery: time.Hour,
 	})
-	var minQueued atomic.Int64
-	stop := make(chan struct{})
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if q := sched.Metrics.Queued.Load(); q < minQueued.Load() {
-				minQueued.Store(q)
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}()
+	sampler := sampleGauges(&sched.Metrics)
 
 	const workers, perWorker = 8, 300
 	var wg sync.WaitGroup
@@ -513,9 +412,7 @@ func TestQueuedGaugeNeverNegativeUnderChurn(t *testing.T) {
 			t.Fatal("churn job never finished")
 		}
 	}
-	close(stop)
-	<-samplerDone
-	if q := minQueued.Load(); q < 0 {
+	if q, _ := sampler.halt(); q < 0 {
 		t.Fatalf("queued gauge observed at %d — submit/worker accounting race", q)
 	}
 	if got := sched.Metrics.Done.Load(); got != accepted.Load() {

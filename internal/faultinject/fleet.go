@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -15,65 +14,6 @@ import (
 	"cimsa/internal/rng"
 	"cimsa/internal/serve"
 )
-
-// FleetOpKind enumerates the distributed faults a fleet schedule can
-// script against a coordinator/worker deployment. Where the resume
-// schedules attack one process's checkpoint file, these attack the
-// claim protocol: nodes die mid-anneal, heartbeats stop arriving,
-// claim storms race for one job, the whole coordinator restarts — and
-// every job must still finish exactly once, bit-identical to a solve
-// that was never interrupted.
-type FleetOpKind int
-
-const (
-	// FKill hard-kills the worker holding the in-flight job (kill -9:
-	// local solves cancelled, nothing further sent), then expires its
-	// lease. The job must be re-claimed and resumed from the newest
-	// checkpoint that node shipped before dying. The dead node is
-	// replaced so the fleet keeps its size.
-	FKill FleetOpKind = iota
-	// FBlackhole cuts the holder's network both ways — heartbeats,
-	// checkpoint ships and progress posts all fail — until the lease
-	// lapses and the job is reassigned; then the partition heals. The
-	// isolated worker is still alive and still solving, so its late
-	// posts must be dropped as stale (ErrGone), never double-settling
-	// the job: the lease-expiry race, end to end.
-	FBlackhole
-	// FClaimStorm races a burst of synthetic registered nodes calling
-	// Claim concurrently against the live fleet, then fires stale
-	// completions at the in-flight job. At most one storm claimant can
-	// win any job (its claim is immediately revoked back to the real
-	// workers), and none of the stale completions may settle anything.
-	FClaimStorm
-	// FRestart kills every worker and abandons the coordinator and
-	// scheduler mid-anneal — the whole control plane dies — then boots a
-	// fresh one from the journal and checkpoint dir with a new fleet.
-	// Unfinished jobs must be recovered, re-offered, re-claimed and
-	// resumed; finished jobs must stay finished.
-	FRestart
-)
-
-func (k FleetOpKind) String() string {
-	switch k {
-	case FKill:
-		return "kill-node"
-	case FBlackhole:
-		return "blackhole"
-	case FClaimStorm:
-		return "claim-storm"
-	case FRestart:
-		return "coordinator-restart"
-	}
-	return fmt.Sprintf("fleet-op(%d)", int(k))
-}
-
-// FleetOp is one scripted fault. Arg selects the progress event of the
-// in-flight job at which the fault fires (modulo a small range) and
-// seeds storm sizing.
-type FleetOp struct {
-	Kind FleetOpKind
-	Arg  int
-}
 
 // FleetSchedule is a fully seeded distributed-fault script: instances,
 // solver options, fleet size and the fault sequence all derive from
@@ -86,7 +26,12 @@ type FleetSchedule struct {
 	InstSeed   uint64
 	SolverSeed uint64
 	Workers    int // fleet size, maintained across kills
-	Ops        []FleetOp
+	// Ops are FKill, FBlackhole, FClaimStorm and FRestart faults against
+	// the claim protocol: nodes die mid-anneal, heartbeats stop
+	// arriving, claim storms race for one job, the whole coordinator
+	// restarts — and every job must still finish exactly once,
+	// bit-identical to a solve that was never interrupted.
+	Ops []Op
 }
 
 // fleetLease is the scripted lease: long enough that nothing expires by
@@ -95,6 +40,9 @@ type FleetSchedule struct {
 // horizon (2×(lease+1s) < 3×lease), which the per-node conservation
 // check needs — a settling node must still be in Stats at the end.
 const fleetLease = 15 * time.Second
+
+// fleetKinds maps GenFleetSchedule's draw onto its op kinds.
+var fleetKinds = [4]OpKind{FKill, FBlackhole, FClaimStorm, FRestart}
 
 // GenFleetSchedule expands a seed into a schedule: one to three jobs,
 // a fleet of two or three workers, and two to five faults with at most
@@ -112,7 +60,7 @@ func GenFleetSchedule(seed uint64) FleetSchedule {
 	ops := 2 + int(r.Intn(4))
 	expiry := 0
 	for i := 0; i < ops; i++ {
-		k := FleetOpKind(r.Intn(4))
+		k := fleetKinds[r.Intn(4)]
 		if (k == FKill || k == FBlackhole) && expiry >= 2 {
 			k = FClaimStorm
 		}
@@ -122,7 +70,7 @@ func GenFleetSchedule(seed uint64) FleetSchedule {
 		case FRestart:
 			expiry = 0
 		}
-		sc.Ops = append(sc.Ops, FleetOp{Kind: k, Arg: 2 + int(r.Intn(6))})
+		sc.Ops = append(sc.Ops, Op{Kind: k, Arg: 2 + int(r.Intn(6))})
 	}
 	return sc
 }
@@ -213,7 +161,6 @@ type fleetWorker struct {
 type fleetJob struct {
 	id     string
 	tenant string
-	source json.RawMessage
 	job    *serve.Job // latest-era handle
 	want   *problem.Result
 }
@@ -222,7 +169,7 @@ type fleetJob struct {
 // real journal and checkpoint dir, real workers over the (droppable)
 // in-process transport, and real solves.
 type fleetRun struct {
-	t  *testing.T
+	opLog
 	sc FleetSchedule
 
 	clk      *Clock
@@ -241,17 +188,6 @@ type fleetRun struct {
 	nextNode   int
 	jobs       []*fleetJob
 	doneAtBoot int // jobs already terminal when the current era booted
-	opLog      []string
-}
-
-func (fr *fleetRun) fatalf(format string, args ...any) {
-	fr.t.Helper()
-	fr.t.Fatalf("[fleet seed %d] %s\nops:\n  %s",
-		fr.sc.Seed, fmt.Sprintf(format, args...), joinLines(fr.opLog))
-}
-
-func (fr *fleetRun) logf(format string, args ...any) {
-	fr.opLog = append(fr.opLog, fmt.Sprintf(format, args...))
 }
 
 // sources builds the batch of job sources. Every job is deterministic
@@ -282,8 +218,9 @@ func mustDecodeSubmit(t *testing.T, src string) *serve.SubmitRequest {
 }
 
 // boot starts a scheduler era: journal reopened, coordinator rebuilt,
-// jobs recovered, a fresh fleet spawned. First boot submits the batch.
-func (fr *fleetRun) boot(first bool) {
+// jobs recovered, a fresh fleet spawned. First boot submits the batch,
+// one spec per tracked job.
+func (fr *fleetRun) boot(batch []serve.Spec) {
 	fr.t.Helper()
 	journal, entries, err := serve.OpenJournal(filepath.Join(fr.stateDir, "journal.jsonl"))
 	if err != nil {
@@ -309,18 +246,12 @@ func (fr *fleetRun) boot(first bool) {
 	fr.sched = serve.NewScheduler(cfg)
 	fr.srv = serve.NewServer(fr.sched)
 
-	if first {
-		results := fr.sched.SubmitBatch(fr.sources())
-		for i, br := range results {
+	if batch != nil {
+		for i, br := range fr.sched.SubmitBatch(batch) {
 			if br.Err != nil {
 				fr.fatalf("batch submit job %d: %v", i, br.Err)
 			}
-			fr.jobs = append(fr.jobs, &fleetJob{
-				id:     br.Job.ID,
-				tenant: br.Job.Tenant,
-				source: fr.sources()[i].Source,
-				job:    br.Job,
-			})
+			fr.jobs[i].id, fr.jobs[i].tenant, fr.jobs[i].job = br.Job.ID, br.Job.Tenant, br.Job
 		}
 	} else {
 		n := fr.srv.Recover(entries)
@@ -589,7 +520,37 @@ func (fr *fleetRun) opRestart() {
 	// can write nothing more under the new era's feet.
 	fr.journal.Close()
 	fr.logf("coordinator-restart: fleet killed, control plane abandoned, rebooting from %s", fr.stateDir)
-	fr.boot(false)
+	fr.boot(nil)
+}
+
+func (fr *fleetRun) finished() string {
+	if fr.inFlight() == nil {
+		return "batch already finished"
+	}
+	return ""
+}
+
+// step fires one fault at the in-flight job once it is mid-anneal.
+func (fr *fleetRun) step(op Op) {
+	fr.t.Helper()
+	fj := fr.inFlight()
+	fr.logf("targeting %s", fj.id)
+	if !fr.waitProgress(fj, 2+op.Arg%6) {
+		fr.logf("%s finished before the trigger, skipped", fj.id)
+		return
+	}
+	switch op.Kind {
+	case FKill:
+		fr.opKill(fj)
+	case FBlackhole:
+		fr.opBlackhole(fj)
+	case FClaimStorm:
+		fr.opClaimStorm(fj, op.Arg)
+	case FRestart:
+		fr.opRestart()
+	default:
+		fr.fatalf("op %v is not a fleet op", op.Kind)
+	}
 }
 
 // RunFleetSchedule executes a distributed-fault schedule end to end and
@@ -603,20 +564,19 @@ func (fr *fleetRun) opRestart() {
 //     partitioned by tenant;
 //   - fleet gauges are quiescent (nothing claimed or claimable) and the
 //     final era's settlements partition exactly across its nodes.
+//
+// A schedule needs at least one job and a fleet of at least two workers.
 func RunFleetSchedule(t *testing.T, sc FleetSchedule) {
 	t.Helper()
-	if sc.Jobs <= 0 {
-		sc.Jobs = 1
-	}
-	if sc.Workers < 2 {
-		sc.Workers = 2
-	}
 	fr := &fleetRun{
-		t:        t,
+		opLog:    opLog{t: t, prefix: fmt.Sprintf("[fleet seed %d]", sc.Seed)},
 		sc:       sc,
 		clk:      NewClock(),
 		stateDir: t.TempDir(),
 		workers:  map[string]*fleetWorker{},
+	}
+	if sc.Jobs < 1 || sc.Workers < 2 {
+		fr.fatalf("schedule has %d jobs and %d workers, want at least 1 and 2", sc.Jobs, sc.Workers)
 	}
 	fr.ctx, fr.cancel = context.WithCancel(context.Background())
 	// LIFO: cancel fires first, then the wait — worker goroutines log
@@ -625,48 +585,21 @@ func RunFleetSchedule(t *testing.T, sc FleetSchedule) {
 	defer fr.cancel()
 
 	// Baselines first: each job solved locally, uninterrupted.
-	for i, item := range fr.sources() {
-		task, err := fr.buildTask(item.Source)
+	batch := fr.sources()
+	for i, spec := range batch {
+		task, err := fr.buildTask(spec.Source)
 		if err != nil {
-			t.Fatalf("[fleet seed %d] baseline task %d: %v", sc.Seed, i, err)
+			fr.fatalf("baseline task %d: %v", i, err)
 		}
 		want, err := task.Solve(context.Background(), problem.Run{})
 		if err != nil {
-			t.Fatalf("[fleet seed %d] baseline solve %d: %v", sc.Seed, i, err)
+			fr.fatalf("baseline solve %d: %v", i, err)
 		}
 		fr.jobs = append(fr.jobs, &fleetJob{want: want})
 	}
-	baselines := fr.jobs
-	fr.jobs = nil
-	fr.boot(true)
-	for i, fj := range fr.jobs {
-		fj.want = baselines[i].want
-	}
+	fr.boot(batch)
 
-	for i, op := range sc.Ops {
-		fj := fr.inFlight()
-		if fj == nil {
-			fr.logf("op %d: %s skipped, batch already finished", i, op.Kind)
-			continue
-		}
-		fr.logf("op %d: %s(%d) targeting %s", i, op.Kind, op.Arg, fj.id)
-		if !fr.waitProgress(fj, 2+op.Arg%6) {
-			fr.logf("op %d: %s finished before the trigger, skipped", i, fj.id)
-			continue
-		}
-		switch op.Kind {
-		case FKill:
-			fr.opKill(fj)
-		case FBlackhole:
-			fr.opBlackhole(fj)
-		case FClaimStorm:
-			fr.opClaimStorm(fj, op.Arg)
-		case FRestart:
-			fr.opRestart()
-		default:
-			fr.fatalf("unknown fleet op %v", op.Kind)
-		}
-	}
+	drive(fr, sc.Ops)
 
 	// Drain: every job must reach a terminal state without further help.
 	for _, fj := range fr.jobs {
@@ -688,37 +621,14 @@ func RunFleetSchedule(t *testing.T, sc FleetSchedule) {
 		if got == nil {
 			fr.fatalf("job %s done with no result", fj.id)
 		}
-		if !bitIdentical(t, got, fj.want) {
+		if !sameResult(t, got, fj.want) {
 			fr.fatalf("job %d (%s): fleet result differs from uninterrupted local solve:\n got %+v\nwant %+v",
 				i, fj.id, got, fj.want)
 		}
 	}
 
 	fr.checkFleetConservation()
-	if testing.Verbose() {
-		t.Logf("[fleet seed %d] all %d jobs bit-identical after:\n  %s",
-			sc.Seed, len(fr.jobs), joinLines(fr.opLog))
-	}
-}
-
-// bitIdentical compares two results through a canonicalizing JSON
-// round-trip: typed structs and wire-decoded maps land in the same
-// shape, and float64 survives JSON exactly, so DeepEqual means the
-// numbers match to the last bit.
-func bitIdentical(t *testing.T, got, want *problem.Result) bool {
-	t.Helper()
-	canon := func(v any) any {
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var x any
-		if err := json.Unmarshal(data, &x); err != nil {
-			t.Fatal(err)
-		}
-		return x
-	}
-	return reflect.DeepEqual(canon(got), canon(want))
+	fr.logAll(fmt.Sprintf("all %d jobs bit-identical", len(fr.jobs)))
 }
 
 // checkFleetConservation asserts the quiescent end-state identities:
@@ -731,28 +641,17 @@ func (fr *fleetRun) checkFleetConservation() {
 	if q, r := m.Queued.Load(), m.Running.Load(); q != 0 || r != 0 {
 		fr.fatalf("quiescent scheduler still shows queued=%d running=%d", q, r)
 	}
-	sum := m.Queued.Load() + m.Running.Load() + m.Done.Load() + m.Failed.Load() + m.Canceled.Load()
-	if sum != m.Submitted.Load() {
-		fr.fatalf("scheduler conservation identity broken: buckets sum to %d, submitted %d", sum, m.Submitted.Load())
-	}
+	fr.conserve("scheduler", &m.Counters)
 	// Tenant partition of the era's submissions.
-	tenants := map[string]bool{}
+	seen := map[string]bool{}
+	var tenants []string
 	for _, fj := range fr.jobs {
-		tenants[fj.tenant] = true
-	}
-	var partition int64
-	for tenant := range tenants {
-		tm := m.Tenant(tenant)
-		tsum := tm.Queued.Load() + tm.Running.Load() + tm.Done.Load() + tm.Failed.Load() + tm.Canceled.Load()
-		if tsum != tm.Submitted.Load() {
-			fr.fatalf("conservation[tenant %s] identity broken: buckets sum to %d, submitted %d",
-				tenant, tsum, tm.Submitted.Load())
+		if !seen[fj.tenant] {
+			seen[fj.tenant] = true
+			tenants = append(tenants, fj.tenant)
 		}
-		partition += tm.Submitted.Load()
 	}
-	if partition != m.Submitted.Load() {
-		fr.fatalf("per-tenant submitted counts sum to %d, global submitted %d", partition, m.Submitted.Load())
-	}
+	fr.conservePartition("tenant", tenants, m.Tenant, &m.Counters)
 
 	stats := fr.coord.Stats()
 	if stats.Claimed != 0 || stats.Claimable != 0 {

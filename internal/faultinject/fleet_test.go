@@ -1,18 +1,13 @@
 package faultinject
 
-import (
-	"os"
-	"strconv"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // One node killed mid-anneal: the canonical failover — lease expiry,
 // re-claim, checkpoint-migrated resume, bit-identical result.
 func TestFleetKillMidAnneal(t *testing.T) {
 	RunFleetSchedule(t, FleetSchedule{
 		Seed: 301, Jobs: 1, N: 200, InstSeed: 5, SolverSeed: 11, Workers: 2,
-		Ops: []FleetOp{{Kind: FKill, Arg: 2}},
+		Ops: []Op{{Kind: FKill, Arg: 2}},
 	})
 }
 
@@ -21,7 +16,7 @@ func TestFleetKillMidAnneal(t *testing.T) {
 func TestFleetRepeatedKills(t *testing.T) {
 	RunFleetSchedule(t, FleetSchedule{
 		Seed: 302, Jobs: 2, N: 200, InstSeed: 3, SolverSeed: 7, Workers: 2,
-		Ops: []FleetOp{
+		Ops: []Op{
 			{Kind: FKill, Arg: 1},
 			{Kind: FKill, Arg: 3},
 		},
@@ -34,7 +29,7 @@ func TestFleetRepeatedKills(t *testing.T) {
 func TestFleetBlackholeStaleHolder(t *testing.T) {
 	RunFleetSchedule(t, FleetSchedule{
 		Seed: 303, Jobs: 1, N: 240, InstSeed: 9, SolverSeed: 13, Workers: 3,
-		Ops: []FleetOp{{Kind: FBlackhole, Arg: 2}},
+		Ops: []Op{{Kind: FBlackhole, Arg: 2}},
 	})
 }
 
@@ -43,7 +38,7 @@ func TestFleetBlackholeStaleHolder(t *testing.T) {
 func TestFleetDuplicateClaimStorm(t *testing.T) {
 	RunFleetSchedule(t, FleetSchedule{
 		Seed: 304, Jobs: 1, N: 200, InstSeed: 2, SolverSeed: 5, Workers: 2,
-		Ops: []FleetOp{
+		Ops: []Op{
 			{Kind: FClaimStorm, Arg: 1},
 			{Kind: FClaimStorm, Arg: 4},
 		},
@@ -56,7 +51,7 @@ func TestFleetDuplicateClaimStorm(t *testing.T) {
 func TestFleetCoordinatorRestart(t *testing.T) {
 	RunFleetSchedule(t, FleetSchedule{
 		Seed: 305, Jobs: 2, N: 200, InstSeed: 4, SolverSeed: 9, Workers: 2,
-		Ops: []FleetOp{{Kind: FRestart, Arg: 3}},
+		Ops: []Op{{Kind: FRestart, Arg: 3}},
 	})
 }
 
@@ -65,7 +60,7 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 func TestFleetKillThenRestartThenStorm(t *testing.T) {
 	RunFleetSchedule(t, FleetSchedule{
 		Seed: 306, Jobs: 2, N: 160, InstSeed: 6, SolverSeed: 3, Workers: 2,
-		Ops: []FleetOp{
+		Ops: []Op{
 			{Kind: FKill, Arg: 2},
 			{Kind: FRestart, Arg: 4},
 			{Kind: FClaimStorm, Arg: 2},
@@ -75,57 +70,9 @@ func TestFleetKillThenRestartThenStorm(t *testing.T) {
 
 // TestFleetSeededMatrix runs generated distributed-fault schedules for
 // a fixed seed batch; CI and local runs extend the matrix with a
-// comma-separated FAULTINJECT_FLEET_SEEDS. Any failure prints its
-// seed, and rerunning with FAULTINJECT_FLEET_SEEDS=<seed> replays the
-// identical schedule.
+// comma-separated FAULTINJECT_FLEET_SEEDS.
 func TestFleetSeededMatrix(t *testing.T) {
-	seeds := []uint64{1, 2, 3, 4}
-	if env := os.Getenv("FAULTINJECT_FLEET_SEEDS"); env != "" {
-		seeds = nil
-		for _, f := range strings.Split(env, ",") {
-			s, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
-			if err != nil {
-				t.Fatalf("FAULTINJECT_FLEET_SEEDS entry %q: %v", f, err)
-			}
-			seeds = append(seeds, s)
-		}
-	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(strconv.FormatUint(seed, 10), func(t *testing.T) {
-			t.Parallel()
-			RunFleetSchedule(t, GenFleetSchedule(seed))
-		})
-	}
-}
-
-// The replay guarantee: the same seed expands to the identical fleet
-// schedule, and the expiry cap that protects the per-node conservation
-// check holds for every generated schedule.
-func TestGenFleetScheduleDeterministic(t *testing.T) {
-	a, b := GenFleetSchedule(42), GenFleetSchedule(42)
-	if a.Jobs != b.Jobs || a.N != b.N || a.InstSeed != b.InstSeed ||
-		a.SolverSeed != b.SolverSeed || a.Workers != b.Workers || len(a.Ops) != len(b.Ops) {
-		t.Fatalf("schedule dimensions diverge: %+v vs %+v", a, b)
-	}
-	for i := range a.Ops {
-		if a.Ops[i] != b.Ops[i] {
-			t.Fatalf("op %d diverges: %+v vs %+v", i, a.Ops[i], b.Ops[i])
-		}
-	}
-	for seed := uint64(0); seed < 200; seed++ {
-		sc := GenFleetSchedule(seed)
-		expiry := 0
-		for _, op := range sc.Ops {
-			switch op.Kind {
-			case FKill, FBlackhole:
-				expiry++
-			case FRestart:
-				expiry = 0
-			}
-			if expiry > 2 {
-				t.Fatalf("seed %d: more than two lease-expiry ops in one era: %+v", seed, sc.Ops)
-			}
-		}
-	}
+	seedMatrix(t, "FAULTINJECT_FLEET_SEEDS", []uint64{1, 2, 3, 4}, func(t *testing.T, seed uint64) {
+		RunFleetSchedule(t, GenFleetSchedule(seed))
+	})
 }

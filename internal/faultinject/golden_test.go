@@ -25,15 +25,15 @@ func ciSeeds(n uint64) []uint64 {
 	return out
 }
 
-func opsString[K fmt.Stringer](kinds []K, args []int) string {
-	parts := make([]string, len(kinds))
-	for i := range kinds {
-		parts[i] = fmt.Sprintf("%s(%d)", kinds[i], args[i])
+func opsString(ops []Op) string {
+	parts := make([]string, len(ops))
+	for i, op := range ops {
+		parts[i] = fmt.Sprintf("%s(%d)", op.Kind, op.Arg)
 	}
 	return strings.Join(parts, " ")
 }
 
-func scheduleLine(family string, sc Schedule) string {
+func scheduleString(sc Schedule) string {
 	names := make([]string, 0, len(sc.Policies))
 	for name := range sc.Policies {
 		names = append(names, name)
@@ -45,14 +45,29 @@ func scheduleLine(family string, sc Schedule) string {
 		pols[i] = fmt.Sprintf("%s{w=%d maxq=%d maxrun=%d rate=%g burst=%d}",
 			name, p.Weight, p.MaxQueued, p.MaxRunning, p.RatePerSec, p.Burst)
 	}
-	kinds := make([]OpKind, len(sc.Ops))
-	args := make([]int, len(sc.Ops))
-	for i, op := range sc.Ops {
-		kinds[i], args[i] = op.Kind, op.Arg
-	}
-	return fmt.Sprintf("%s seed=%d slots=%d depth=%d replay=%d cache=%d tenants=%q policies=[%s] ops: %s",
-		family, sc.Seed, sc.Slots, sc.Depth, sc.Replay, sc.CacheEntries, sc.Tenants,
-		strings.Join(pols, " "), opsString(kinds, args))
+	return fmt.Sprintf("slots=%d depth=%d replay=%d cache=%d tenants=%q policies=[%s] ops: %s",
+		sc.Slots, sc.Depth, sc.Replay, sc.CacheEntries, sc.Tenants, strings.Join(pols, " "), opsString(sc.Ops))
+}
+
+// scheduleFamilies renders each generator's schedule for a seed, every
+// dimension but the seed itself, alongside the seeds CI runs for it.
+var scheduleFamilies = []struct {
+	name   string
+	seeds  []uint64
+	render func(seed uint64) string
+}{
+	{"serve", ciSeeds(8), func(seed uint64) string { return scheduleString(GenSchedule(seed)) }},
+	{"tenant", ciSeeds(6), func(seed uint64) string { return scheduleString(GenTenantSchedule(seed)) }},
+	{"resume", ciSeeds(4), func(seed uint64) string {
+		sc := GenResumeSchedule(seed)
+		return fmt.Sprintf("n=%d inst=%d solver=%d workers=%v ops: %s",
+			sc.N, sc.InstSeed, sc.SolverSeed, sc.Workers, opsString(sc.Ops))
+	}},
+	{"fleet", ciSeeds(4), func(seed uint64) string {
+		sc := GenFleetSchedule(seed)
+		return fmt.Sprintf("jobs=%d n=%d inst=%d solver=%d workers=%d ops: %s",
+			sc.Jobs, sc.N, sc.InstSeed, sc.SolverSeed, sc.Workers, opsString(sc.Ops))
+	}},
 }
 
 // TestScheduleGolden pins seed → schedule for every seed CI runs, so a
@@ -61,31 +76,10 @@ func scheduleLine(family string, sc Schedule) string {
 // only when a generator change is intended.
 func TestScheduleGolden(t *testing.T) {
 	var got bytes.Buffer
-	for _, seed := range ciSeeds(8) {
-		fmt.Fprintln(&got, scheduleLine("serve", GenSchedule(seed)))
-	}
-	for _, seed := range ciSeeds(6) {
-		fmt.Fprintln(&got, scheduleLine("tenant", GenTenantSchedule(seed)))
-	}
-	for _, seed := range ciSeeds(4) {
-		sc := GenResumeSchedule(seed)
-		kinds := make([]ResumeOpKind, len(sc.Ops))
-		args := make([]int, len(sc.Ops))
-		for i, op := range sc.Ops {
-			kinds[i], args[i] = op.Kind, op.Arg
+	for _, f := range scheduleFamilies {
+		for _, seed := range f.seeds {
+			fmt.Fprintf(&got, "%s seed=%d %s\n", f.name, seed, f.render(seed))
 		}
-		fmt.Fprintf(&got, "resume seed=%d n=%d inst=%d solver=%d workers=%v ops: %s\n",
-			sc.Seed, sc.N, sc.InstSeed, sc.SolverSeed, sc.Workers, opsString(kinds, args))
-	}
-	for _, seed := range ciSeeds(4) {
-		sc := GenFleetSchedule(seed)
-		kinds := make([]FleetOpKind, len(sc.Ops))
-		args := make([]int, len(sc.Ops))
-		for i, op := range sc.Ops {
-			kinds[i], args[i] = op.Kind, op.Arg
-		}
-		fmt.Fprintf(&got, "fleet seed=%d jobs=%d n=%d inst=%d solver=%d workers=%d ops: %s\n",
-			sc.Seed, sc.Jobs, sc.N, sc.InstSeed, sc.SolverSeed, sc.Workers, opsString(kinds, args))
 	}
 	path := filepath.Join("testdata", "schedules.golden")
 	if *updateGolden {
@@ -103,4 +97,36 @@ func TestScheduleGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("generated schedules differ from %s; a seed no longer replays its schedule.\ngot:\n%s", path, got.Bytes())
 	}
+}
+
+// TestGeneratedScheduleProperties checks what the golden cannot: that a
+// seed actually steers each generator, and that no generated fleet
+// schedule packs more than two lease-expiry faults into one
+// coordinator era (the per-node conservation check needs a settling
+// node to outlive the three-lease forget horizon).
+func TestGeneratedScheduleProperties(t *testing.T) {
+	for _, f := range scheduleFamilies {
+		t.Run(f.name+"-seeds-differ", func(t *testing.T) {
+			if f.render(42) == f.render(43) {
+				t.Fatal("different seeds produced identical schedules")
+			}
+		})
+	}
+	t.Run("fleet-expiry-cap", func(t *testing.T) {
+		for seed := uint64(0); seed < 200; seed++ {
+			sc := GenFleetSchedule(seed)
+			expiry := 0
+			for _, op := range sc.Ops {
+				switch op.Kind {
+				case FKill, FBlackhole:
+					expiry++
+				case FRestart:
+					expiry = 0
+				}
+				if expiry > 2 {
+					t.Fatalf("seed %d: more than two lease-expiry ops in one era: %+v", seed, sc.Ops)
+				}
+			}
+		}
+	})
 }

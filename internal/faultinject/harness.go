@@ -190,7 +190,7 @@ type slowSub struct {
 
 // Harness owns one scheduler under fault injection.
 type Harness struct {
-	t      *testing.T
+	opLog
 	sched  *serve.Scheduler
 	solver *Solver
 	clock  *Clock
@@ -213,13 +213,7 @@ type Harness struct {
 
 	auditors []*StreamAuditor
 	slows    []slowSub
-
-	opLog []string
-
-	samplerStop chan struct{}
-	samplerDone chan struct{}
-	negQueued   atomic.Int64 // most negative Queued gauge sampled
-	negRunning  atomic.Int64 // most negative Running gauge sampled
+	sampler  *gaugeSampler
 }
 
 // ttl is the scripted ResultTTL every harness scheduler uses; clock
@@ -244,69 +238,63 @@ func NewHarness(t *testing.T, sc Schedule) *Harness {
 		Tenants:       fairsched.Config{Tenants: sc.Policies, Now: clock.Now},
 		CacheEntries:  sc.CacheEntries,
 	}
-	h := &Harness{
-		t: t, solver: solver, clock: clock, cfg: cfg, seed: sc.Seed,
-		sched:          serve.NewScheduler(cfg),
+	sched := serve.NewScheduler(cfg)
+	return &Harness{
+		opLog:  opLog{t: t, prefix: fmt.Sprintf("[seed %d]", sc.Seed)},
+		solver: solver, clock: clock, cfg: cfg, seed: sc.Seed,
+		sched:          sched,
 		byName:         map[string]*trackedJob{},
 		tenantPool:     sc.Tenants,
 		tenantRejected: map[string]int{},
 		cacheOn:        sc.CacheEntries > 0,
-		samplerStop:    make(chan struct{}),
-		samplerDone:    make(chan struct{}),
-	}
-	go h.sampleGauges()
-	return h
-}
-
-// sampleGauges polls the live gauges as fast as it can for the whole
-// run; any negative reading is a conservation violation regardless of
-// what the schedule was doing at the time.
-func (h *Harness) sampleGauges() {
-	defer close(h.samplerDone)
-	for {
-		select {
-		case <-h.samplerStop:
-			return
-		default:
-		}
-		if q := h.sched.Metrics.Queued.Load(); q < h.negQueued.Load() {
-			h.negQueued.Store(q)
-		}
-		if r := h.sched.Metrics.Running.Load(); r < h.negRunning.Load() {
-			h.negRunning.Store(r)
-		}
-		// Sample densely but don't monopolize a core: negative-gauge
-		// windows are produced continuously under churn, so a ~20µs
-		// cadence still takes tens of thousands of samples per run.
-		time.Sleep(20 * time.Microsecond)
+		sampler:        sampleGauges(&sched.Metrics),
 	}
 }
 
-// fatalf aborts with the seed and the tail of the op log so the exact
-// schedule can be replayed.
-func (h *Harness) fatalf(format string, args ...any) {
-	h.t.Helper()
-	tail := h.opLog
-	if len(tail) > 12 {
-		tail = tail[len(tail)-12:]
-	}
-	msg := fmt.Sprintf(format, args...)
-	h.t.Fatalf("[seed %d] %s\nrecent ops:\n  %s", h.seed, msg, joinLines(tail))
+// gaugeSampler polls a scheduler's live gauges as fast as it can until
+// halted; any negative reading is a conservation violation regardless
+// of what the run was doing at the time.
+type gaugeSampler struct {
+	stop, done chan struct{}
+	minQueued  atomic.Int64
+	minRunning atomic.Int64
 }
 
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
+func sampleGauges(m *serve.Metrics) *gaugeSampler {
+	s := &gaugeSampler{stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(s.done)
+		for {
+			select {
+			case <-s.stop:
+				return
+			default:
+			}
+			if q := m.Queued.Load(); q < s.minQueued.Load() {
+				s.minQueued.Store(q)
+			}
+			if r := m.Running.Load(); r < s.minRunning.Load() {
+				s.minRunning.Store(r)
+			}
+			// Sample densely but don't monopolize a core: negative-gauge
+			// windows are produced continuously under churn, so a ~20µs
+			// cadence still takes tens of thousands of samples per run.
+			time.Sleep(20 * time.Microsecond)
 		}
-		out += l
-	}
-	return out
+	}()
+	return s
 }
 
-func (h *Harness) logf(format string, args ...any) {
-	h.opLog = append(h.opLog, fmt.Sprintf(format, args...))
+// halt stops the sampler (safe to call more than once) and returns the
+// most negative Queued and Running readings, or 0.
+func (s *gaugeSampler) halt() (queued, running int64) {
+	select {
+	case <-s.done:
+	default:
+		close(s.stop)
+		<-s.done
+	}
+	return s.minQueued.Load(), s.minRunning.Load()
 }
 
 // pickTenant maps a schedule arg onto the tenant pool; with no pool
@@ -430,53 +418,29 @@ func (h *Harness) settleCached() {
 	}
 }
 
-// runningByTenant counts slot occupants per lane (running + finishing:
-// a finishing job still holds its slot until its Done lands).
-func (h *Harness) runningByTenant() map[string]int {
-	out := map[string]int{}
+// promotable reports whether some queued job (only duplicates, with
+// dupsOnly) can legally take a slot: a slot is free AND the job's lane
+// is under its MaxRunning cap. With per-tenant caps, "queued>0 &&
+// running<slots" is not enough — every queued job may belong to a
+// capped lane. A finishing job still holds its slot until its Done
+// lands. While a duplicate is promotable its cached completion can
+// settle asynchronously, so terminal counts are still in motion.
+func (h *Harness) promotable(dupsOnly bool) bool {
+	occupied, byTenant := 0, map[string]int{}
 	for _, tj := range h.jobs {
 		if tj.phase == phaseRunning || tj.phase == phaseFinishing {
-			out[tj.tenant]++
+			occupied++
+			byTenant[tj.tenant]++
 		}
 	}
-	return out
-}
-
-// promotable reports whether some queued job can legally take a slot:
-// a slot is free AND at least one queued job's lane is under its
-// MaxRunning cap. With per-tenant caps, "queued>0 && running<slots" is
-// no longer enough — every queued job may belong to a capped lane.
-func (h *Harness) promotable() bool {
-	if h.drainedAllSlots() {
+	if occupied >= h.cfg.MaxConcurrent {
 		return false
 	}
-	byTenant := h.runningByTenant()
 	for _, tj := range h.jobs {
-		if tj.phase != phaseQueued {
+		if tj.phase != phaseQueued || (dupsOnly && !tj.expectCached) {
 			continue
 		}
-		max := h.policyFor(tj.tenant).MaxRunning
-		if max == 0 || byTenant[tj.tenant] < max {
-			return true
-		}
-	}
-	return false
-}
-
-// pendingCached reports whether some duplicate could still settle
-// asynchronously — queued, with a worker free to pop its lane. While
-// this holds, terminal counts are still in motion.
-func (h *Harness) pendingCached() bool {
-	if h.drainedAllSlots() {
-		return false
-	}
-	byTenant := h.runningByTenant()
-	for _, tj := range h.jobs {
-		if !tj.expectCached || tj.phase != phaseQueued {
-			continue
-		}
-		max := h.policyFor(tj.tenant).MaxRunning
-		if max == 0 || byTenant[tj.tenant] < max {
+		if max := h.policyFor(tj.tenant).MaxRunning; max == 0 || byTenant[tj.tenant] < max {
 			return true
 		}
 	}
@@ -490,7 +454,7 @@ func (h *Harness) settleAllCached() {
 	for {
 		h.syncStarted() // a non-dup promotion may be filling the free slot
 		h.settleCached()
-		if !h.pendingCached() {
+		if !h.promotable(true) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -608,38 +572,25 @@ func (h *Harness) Quiesce() {
 		h.waitFinishing()
 		h.syncStarted()
 		h.settleCached()
-		queued, running := h.countPhases()
-		if running < h.cfg.MaxConcurrent && h.promotable() {
-			if time.Now().After(deadline) {
-				h.fatalf("quiesce did not converge (%d queued, %d running)", queued, running)
-			}
-			// Progress must be in flight: either a promotion (start signal)
-			// or a cached completion (no signal — a duplicate finalizes
-			// straight from the cache). Wait briefly for the former, then
-			// re-evaluate so the latter is picked up by settleCached.
-			select {
-			case sj := <-h.solver.started:
-				h.noteStarted(sj)
-			case <-time.After(50 * time.Millisecond):
-			}
-			continue
+		if !h.promotable(false) {
+			break
 		}
-		break
+		if time.Now().After(deadline) {
+			queued, running := h.countPhases()
+			h.fatalf("quiesce did not converge (%d queued, %d running)", queued, running)
+		}
+		// Progress must be in flight: either a promotion (start signal)
+		// or a cached completion (no signal — a duplicate finalizes
+		// straight from the cache). Wait briefly for the former, then
+		// re-evaluate so the latter is picked up by settleCached.
+		select {
+		case sj := <-h.solver.started:
+			h.noteStarted(sj)
+		case <-time.After(50 * time.Millisecond):
+		}
 	}
 	h.checkConservation()
 	h.checkStatusSanity()
-}
-
-// drainedAllSlots reports whether every slot is known-occupied by a
-// running or finishing job (promotions can't happen until one ends).
-func (h *Harness) drainedAllSlots() bool {
-	occupied := 0
-	for _, tj := range h.jobs {
-		if tj.phase == phaseRunning || tj.phase == phaseFinishing {
-			occupied++
-		}
-	}
-	return occupied >= h.cfg.MaxConcurrent
 }
 
 // Finish drains every outstanding job to a terminal state, audits every
@@ -819,16 +770,11 @@ settled:
 // StopSampler halts the gauge sampler and asserts it never saw a
 // negative gauge. Safe to call more than once.
 func (h *Harness) StopSampler() {
-	select {
-	case <-h.samplerDone:
-	default:
-		close(h.samplerStop)
-		<-h.samplerDone
-	}
-	if q := h.negQueued.Load(); q < 0 {
+	q, r := h.sampler.halt()
+	if q < 0 {
 		h.fatalf("queued gauge went negative (reached %d)", q)
 	}
-	if r := h.negRunning.Load(); r < 0 {
+	if r < 0 {
 		h.fatalf("running gauge went negative (reached %d)", r)
 	}
 }

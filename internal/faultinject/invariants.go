@@ -1,82 +1,83 @@
 package faultinject
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
 	"cimsa/internal/serve"
 )
 
-// checkConservation asserts, at a quiescent point, that the metrics
-// balance exactly against the harness's ground truth: every admitted
-// job is in exactly one gauge or terminal counter, rejections match,
-// and the global conservation identity
-//
-//	Queued + Running + Done + Failed + Canceled == Submitted
-//
-// holds to the last job.
-func (h *Harness) checkConservation() {
-	h.t.Helper()
-	queued, running := h.countPhases()
-	var done, failed, canceled int
-	for _, tj := range h.jobs {
-		if tj.phase != phaseTerminal {
-			continue
-		}
-		switch st := tj.job.Status().State; st {
-		case serve.StateDone:
-			done++
-		case serve.StateFailed:
-			failed++
-		case serve.StateCanceled:
-			canceled++
-		default:
-			h.fatalf("terminal job %s reports non-terminal state %s", tj.name, st)
-		}
-	}
-	m := &h.sched.Metrics
-	check := func(name string, got int64, want int) {
-		h.t.Helper()
-		if got != int64(want) {
-			h.fatalf("conservation: %s gauge/counter = %d, harness ground truth = %d", name, got, want)
-		}
-	}
-	check("submitted", m.Submitted.Load(), len(h.jobs))
-	check("rejected", m.Rejected.Load(), h.rejected)
-	check("queued", m.Queued.Load(), queued)
-	check("running", m.Running.Load(), running)
-	check("done", m.Done.Load(), done)
-	check("failed", m.Failed.Load(), failed)
-	check("canceled", m.Canceled.Load(), canceled)
-	if sum := m.Queued.Load() + m.Running.Load() + m.Done.Load() + m.Failed.Load() + m.Canceled.Load(); sum != m.Submitted.Load() {
-		h.fatalf("conservation identity broken: buckets sum to %d, submitted %d", sum, m.Submitted.Load())
-	}
-	h.checkLabeledConservation("problem", func(tj *trackedJob) string { return tj.problem }, m.Problem, nil)
-	h.checkLabeledConservation("tenant", func(tj *trackedJob) string { return tj.tenant }, m.Tenant, h.tenantRejected)
+// ledger is one counter set's worth of job counts: the harness's
+// ground truth, or a snapshot of serve.Counters to compare against it.
+type ledger struct {
+	submitted, rejected, queued, running, done, failed, canceled int64
 }
 
-// checkLabeledConservation re-runs the conservation identity on each
-// labeled metrics slice (per problem type, per tenant): with mixed,
-// multi-tenant traffic through one fair scheduler, every slice must
-// balance against the harness's ground truth for its label alone —
-// including its rejections, which quotas and rate limits produce per
-// tenant (rejected maps label to count; a problem slice never counts
-// one) — and the slices' submitted counts must partition the global
-// total.
-func (h *Harness) checkLabeledConservation(label string, key func(*trackedJob) string, slice func(string) *serve.Counters, rejected map[string]int) {
+func snapshot(c *serve.Counters) ledger {
+	return ledger{
+		c.Submitted.Load(), c.Rejected.Load(), c.Queued.Load(), c.Running.Load(),
+		c.Done.Load(), c.Failed.Load(), c.Canceled.Load(),
+	}
+}
+
+// conserve asserts the conservation identity on one counter set,
+//
+//	Queued + Running + Done + Failed + Canceled == Submitted,
+//
+// and returns Submitted.
+func (l *opLog) conserve(what string, c *serve.Counters) int64 {
+	l.t.Helper()
+	s := snapshot(c)
+	if sum := s.queued + s.running + s.done + s.failed + s.canceled; sum != s.submitted {
+		l.fatalf("conservation[%s] identity broken: buckets sum to %d, submitted %d", what, sum, s.submitted)
+	}
+	return s.submitted
+}
+
+// conservePartition runs the identity on every labeled slice and
+// asserts the slices' submitted counts partition the global total.
+func (l *opLog) conservePartition(label string, names []string, slice func(string) *serve.Counters, global *serve.Counters) {
+	l.t.Helper()
+	var sum int64
+	for _, name := range names {
+		sum += l.conserve(label+" "+name, slice(name))
+	}
+	if g := global.Submitted.Load(); sum != g {
+		l.fatalf("per-%s submitted counts sum to %d, global submitted %d", label, sum, g)
+	}
+}
+
+// sameResult compares two results through a canonicalizing JSON
+// round-trip: typed structs and wire-decoded maps land in the same
+// shape, and float64 survives JSON exactly, so DeepEqual means the
+// numbers match to the last bit. Neither core.Report nor
+// problem.Result carries timing, so whole results compare.
+func sameResult(t *testing.T, got, want any) bool {
+	t.Helper()
+	canon := func(v any) any {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var x any
+		if err := json.Unmarshal(data, &x); err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	return reflect.DeepEqual(canon(got), canon(want))
+}
+
+// tally buckets the harness's ground truth by key.
+func (h *Harness) tally(key func(*trackedJob) string) map[string]*ledger {
 	h.t.Helper()
-	type bucket struct {
-		submitted, queued, running, done, failed, canceled int
-	}
-	per := map[string]*bucket{}
-	// A label that only ever got rejected still has a metrics slice.
-	for name := range rejected {
-		per[name] = &bucket{}
-	}
+	per := map[string]*ledger{}
 	for _, tj := range h.jobs {
 		b := per[key(tj)]
 		if b == nil {
-			b = &bucket{}
+			b = &ledger{}
 			per[key(tj)] = b
 		}
 		b.submitted++
@@ -86,41 +87,57 @@ func (h *Harness) checkLabeledConservation(label string, key func(*trackedJob) s
 		case phaseRunning:
 			b.running++
 		case phaseTerminal:
-			switch tj.job.Status().State {
+			switch st := tj.job.Status().State; st {
 			case serve.StateDone:
 				b.done++
 			case serve.StateFailed:
 				b.failed++
 			case serve.StateCanceled:
 				b.canceled++
+			default:
+				h.fatalf("terminal job %s reports non-terminal state %s", tj.name, st)
 			}
 		}
 	}
-	var partition int64
-	for name, b := range per {
-		c := slice(name)
-		check := func(counter string, got int64, want int) {
-			h.t.Helper()
-			if got != int64(want) {
-				h.fatalf("conservation[%s %s]: %s = %d, harness ground truth = %d", label, name, counter, got, want)
-			}
+	return per
+}
+
+// checkConservation asserts, at a quiescent point, that the metrics
+// balance exactly against the harness's ground truth: every admitted
+// job is in exactly one gauge or terminal counter, rejections match,
+// and the conservation identity holds to the last job — globally and
+// on each labeled slice (per problem type, per tenant). With mixed,
+// multi-tenant traffic through one fair scheduler, every slice must
+// balance against the ground truth for its label alone, including its
+// rejections, which quotas and rate limits produce per tenant (a
+// problem slice never counts one), and the slices' submitted counts
+// must partition the global total.
+func (h *Harness) checkConservation() {
+	h.t.Helper()
+	m := &h.sched.Metrics
+	h.checkLabeled("global", func(*trackedJob) string { return "all" }, func(string) *serve.Counters { return &m.Counters }, map[string]int{"all": h.rejected})
+	h.checkLabeled("problem", func(tj *trackedJob) string { return tj.problem }, m.Problem, nil)
+	h.checkLabeled("tenant", func(tj *trackedJob) string { return tj.tenant }, m.Tenant, h.tenantRejected)
+}
+
+func (h *Harness) checkLabeled(label string, key func(*trackedJob) string, slice func(string) *serve.Counters, rejected map[string]int) {
+	h.t.Helper()
+	per := h.tally(key)
+	// A label that only ever got rejected still has a metrics slice.
+	for name, n := range rejected {
+		if per[name] == nil {
+			per[name] = &ledger{}
 		}
-		check("submitted", c.Submitted.Load(), b.submitted)
-		check("rejected", c.Rejected.Load(), rejected[name])
-		check("queued", c.Queued.Load(), b.queued)
-		check("running", c.Running.Load(), b.running)
-		check("done", c.Done.Load(), b.done)
-		check("failed", c.Failed.Load(), b.failed)
-		check("canceled", c.Canceled.Load(), b.canceled)
-		sum := c.Queued.Load() + c.Running.Load() + c.Done.Load() + c.Failed.Load() + c.Canceled.Load()
-		if sum != c.Submitted.Load() {
-			h.fatalf("conservation[%s %s] identity broken: buckets sum to %d, submitted %d", label, name, sum, c.Submitted.Load())
+		per[name].rejected = int64(n)
+	}
+	names := make([]string, 0, len(per))
+	for name, want := range per {
+		if got := snapshot(slice(name)); got != *want {
+			h.fatalf("conservation[%s %s]: counters %+v, harness ground truth %+v", label, name, got, *want)
 		}
-		partition += c.Submitted.Load()
+		names = append(names, name)
 	}
-	if global := h.sched.Metrics.Submitted.Load(); partition != global {
-		h.fatalf("per-%s submitted counts sum to %d, global submitted %d", label, partition, global)
-	}
+	h.conservePartition(label, names, slice, &h.sched.Metrics.Counters)
 }
 
 // checkStatusSanity asserts each tracked job's externally visible state

@@ -13,57 +13,6 @@ import (
 	"cimsa/internal/rng"
 )
 
-// ResumeOpKind enumerates the kill-and-resume faults a resume schedule
-// can script against the checkpoint/restore path. Where the serve
-// schedules attack the scheduler's accounting, these attack the solver's
-// durability claim: kill a solve at a scripted point, tamper with (or
-// around) the on-disk snapshot, resume, and require the final answer to
-// be bit-identical to a run that was never interrupted.
-type ResumeOpKind int
-
-const (
-	// RKill cancels the solve at a scripted progress event. Cancellation
-	// flushes a mid-epoch snapshot, so this is the "process told to die,
-	// managed to save state" kill. The next leg resumes from it.
-	RKill ResumeOpKind = iota
-	// RCorrupt flips one byte of the checkpoint and proves the next
-	// resume rejects it with a diagnostic naming the file — never
-	// silently annealing from scratch or from bad state — then restores
-	// the pristine bytes.
-	RCorrupt
-	// RStale swaps the current checkpoint for an earlier snapshot of the
-	// same run (the "process died before its latest write was durable"
-	// kill). Resuming replays more of the trajectory but, because every
-	// snapshot is a pure function of (instance, options, epoch), must
-	// still converge to the identical final tour.
-	RStale
-	// RTorn drops garbage temp-file debris next to the checkpoint — the
-	// residue of a crash mid-atomic-write. Load reads only the final
-	// path, so resume must ignore it.
-	RTorn
-)
-
-func (k ResumeOpKind) String() string {
-	switch k {
-	case RKill:
-		return "kill"
-	case RCorrupt:
-		return "corrupt"
-	case RStale:
-		return "stale-swap"
-	case RTorn:
-		return "torn-tmp"
-	}
-	return fmt.Sprintf("resume-op(%d)", int(k))
-}
-
-// ResumeOp is one scripted fault. Arg selects the kill epoch, corrupted
-// byte, or stashed snapshot (modulo whatever exists when the op runs).
-type ResumeOp struct {
-	Kind ResumeOpKind
-	Arg  int
-}
-
 // ResumeSchedule is a fully seeded kill-and-resume script: instance,
 // solver options and the fault sequence all derive from Seed, so a
 // failure replays by seed alone (FAULTINJECT_RESUME_SEEDS=<seed>).
@@ -72,7 +21,11 @@ type ResumeSchedule struct {
 	N          int    // instance size
 	InstSeed   uint64 // instance generator seed
 	SolverSeed uint64
-	Ops        []ResumeOp
+	// Ops are RKill, RCorrupt, RStale and RTorn faults: kill a solve at
+	// a scripted point, tamper with (or around) the on-disk snapshot,
+	// resume, and require the final answer to be bit-identical to a run
+	// that was never interrupted.
+	Ops []Op
 	// Workers is the worker-pool size per leg (one more leg than there
 	// are RKill ops: each kill starts a new leg, plus the final run to
 	// completion). Varying it across legs pins the promise that resume
@@ -94,11 +47,11 @@ func GenResumeSchedule(seed uint64) ResumeSchedule {
 	}
 	kills := 1 + int(r.Intn(3))
 	for k := 0; k < kills; k++ {
-		sc.Ops = append(sc.Ops, ResumeOp{Kind: RKill, Arg: 2 + int(r.Intn(5))})
+		sc.Ops = append(sc.Ops, Op{Kind: RKill, Arg: 2 + int(r.Intn(5))})
 		// After each kill the file exists, so tamper ops are armed.
-		for _, tk := range []ResumeOpKind{RTorn, RCorrupt, RStale} {
+		for _, tk := range []OpKind{RTorn, RCorrupt, RStale} {
 			if r.Intn(3) == 0 {
-				sc.Ops = append(sc.Ops, ResumeOp{Kind: tk, Arg: int(r.Uint64() & 0xffff)})
+				sc.Ops = append(sc.Ops, Op{Kind: tk, Arg: int(r.Uint64() & 0xffff)})
 			}
 		}
 	}
@@ -110,7 +63,7 @@ func GenResumeSchedule(seed uint64) ResumeSchedule {
 
 // resumeRun drives one schedule against the real facade.
 type resumeRun struct {
-	t     *testing.T
+	opLog
 	sc    ResumeSchedule
 	in    *cimsa.Instance
 	dir   string
@@ -118,17 +71,6 @@ type resumeRun struct {
 	stash [][]byte // snapshot bytes captured at each write, oldest first
 	leg   int      // index into sc.Workers
 	done  *cimsa.Report
-	opLog []string
-}
-
-func (rr *resumeRun) fatalf(format string, args ...any) {
-	rr.t.Helper()
-	rr.t.Fatalf("[resume seed %d] %s\nops:\n  %s",
-		rr.sc.Seed, fmt.Sprintf(format, args...), joinLines(rr.opLog))
-}
-
-func (rr *resumeRun) logf(format string, args ...any) {
-	rr.opLog = append(rr.opLog, fmt.Sprintf(format, args...))
 }
 
 // options builds one leg's solver options. Resume is always on — legs
@@ -144,20 +86,13 @@ func (rr *resumeRun) options(workers int) cimsa.Options {
 	}
 }
 
-func (rr *resumeRun) workers() int {
-	if rr.leg < len(rr.sc.Workers) {
-		return rr.sc.Workers[rr.leg]
-	}
-	return 1
-}
-
 // kill runs one leg and cancels it at the arg-th progress event. If the
 // solve outruns the cancel and completes, the result is kept and the
 // remaining faults have nothing left to interrupt.
 func (rr *resumeRun) kill(arg int) {
 	rr.t.Helper()
 	killAt := 2 + arg%6
-	workers := rr.workers()
+	workers := rr.sc.Workers[rr.leg]
 	rr.leg++
 	opt := rr.options(workers)
 	hadFile := rr.path != ""
@@ -271,48 +206,60 @@ func (rr *resumeRun) torn(arg int) {
 	rr.logf("torn-tmp: %d garbage bytes at %s", len(garbage), name)
 }
 
+func (rr *resumeRun) finished() string {
+	if rr.done != nil {
+		return "solve already finished"
+	}
+	return ""
+}
+
+func (rr *resumeRun) step(op Op) {
+	rr.t.Helper()
+	switch op.Kind {
+	case RKill:
+		rr.kill(op.Arg)
+	case RCorrupt:
+		rr.corrupt(op.Arg)
+	case RStale:
+		rr.stale(op.Arg)
+	case RTorn:
+		rr.torn(op.Arg)
+	default:
+		rr.fatalf("op %v is not a resume op", op.Kind)
+	}
+}
+
 // RunResumeSchedule executes a kill-and-resume schedule end to end:
 // solve the baseline uninterrupted, replay every scripted fault, then
-// resume to completion and require the tour, length and work counters
-// to be bit-identical to the baseline.
+// resume to completion and require the report (tour, length and work
+// counters) to be bit-identical to the baseline. A schedule must give
+// one worker count per leg: one per RKill plus the final leg.
 func RunResumeSchedule(t *testing.T, sc ResumeSchedule) {
 	t.Helper()
-	if len(sc.Workers) == 0 {
-		sc.Workers = []int{1}
-	}
 	in := cimsa.GenerateInstance(fmt.Sprintf("resume-%d", sc.Seed), sc.N, sc.InstSeed)
-	rr := &resumeRun{t: t, sc: sc, in: in, dir: t.TempDir()}
+	rr := &resumeRun{opLog: opLog{t: t, prefix: fmt.Sprintf("[resume seed %d]", sc.Seed)}, sc: sc, in: in, dir: t.TempDir()}
+	kills := 0
+	for _, op := range sc.Ops {
+		if op.Kind == RKill {
+			kills++
+		}
+	}
+	if len(sc.Workers) != kills+1 {
+		rr.fatalf("schedule has %d kills but %d per-leg worker counts, want %d", kills, len(sc.Workers), kills+1)
+	}
 
 	baseOpt := rr.options(1)
 	baseOpt.Checkpoint = cimsa.Checkpoint{}
 	want, err := cimsa.Solve(in, baseOpt)
 	if err != nil {
-		t.Fatalf("[resume seed %d] baseline solve: %v", sc.Seed, err)
+		rr.fatalf("baseline solve: %v", err)
 	}
 
-	for i, op := range sc.Ops {
-		if rr.done != nil {
-			rr.logf("op %d: %s skipped, solve already finished", i, op.Kind)
-			continue
-		}
-		rr.logf("op %d: %s(%d)", i, op.Kind, op.Arg)
-		switch op.Kind {
-		case RKill:
-			rr.kill(op.Arg)
-		case RCorrupt:
-			rr.corrupt(op.Arg)
-		case RStale:
-			rr.stale(op.Arg)
-		case RTorn:
-			rr.torn(op.Arg)
-		default:
-			rr.fatalf("unknown resume op %v", op.Kind)
-		}
-	}
+	drive(rr, sc.Ops)
 
 	got := rr.done
 	if got == nil {
-		workers := rr.workers()
+		workers := rr.sc.Workers[rr.leg]
 		opt := rr.options(workers)
 		resumed := false
 		opt.Checkpoint.OnResume = func(string) { resumed = true }
@@ -325,22 +272,8 @@ func RunResumeSchedule(t *testing.T, sc ResumeSchedule) {
 		}
 		rr.logf("final leg (workers %d) finished", workers)
 	}
-
-	if got.Length != want.Length {
-		rr.fatalf("resumed length %v != uninterrupted %v", got.Length, want.Length)
+	if !sameResult(t, got, want) {
+		rr.fatalf("resumed report differs from the uninterrupted solve:\n got %+v\nwant %+v", got, want)
 	}
-	if len(got.Tour) != len(want.Tour) {
-		rr.fatalf("resumed tour has %d cities, baseline %d", len(got.Tour), len(want.Tour))
-	}
-	for i := range got.Tour {
-		if got.Tour[i] != want.Tour[i] {
-			rr.fatalf("resumed tour diverges from uninterrupted at position %d", i)
-		}
-	}
-	if got.Solver != want.Solver {
-		rr.fatalf("resumed work counters diverge:\nresumed %+v\nbaseline %+v", got.Solver, want.Solver)
-	}
-	if testing.Verbose() {
-		rr.t.Logf("[resume seed %d] bit-identical after:\n  %s", sc.Seed, joinLines(rr.opLog))
-	}
+	rr.logAll("bit-identical")
 }

@@ -1,11 +1,6 @@
 package faultinject
 
-import (
-	"os"
-	"strconv"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // Two kills at different epochs with a different worker count on every
 // leg: the core kill-and-resume invariant, crossing worker counts the
@@ -13,7 +8,7 @@ import (
 func TestResumeKillAndResumeBitIdentical(t *testing.T) {
 	RunResumeSchedule(t, ResumeSchedule{
 		Seed: 201, N: 200, InstSeed: 5, SolverSeed: 11,
-		Ops: []ResumeOp{
+		Ops: []Op{
 			{Kind: RKill, Arg: 1},
 			{Kind: RKill, Arg: 4},
 		},
@@ -26,7 +21,7 @@ func TestResumeKillAndResumeBitIdentical(t *testing.T) {
 func TestResumeCorruptRejectedThenBackupResumes(t *testing.T) {
 	RunResumeSchedule(t, ResumeSchedule{
 		Seed: 202, N: 160, InstSeed: 3, SolverSeed: 7,
-		Ops: []ResumeOp{
+		Ops: []Op{
 			{Kind: RKill, Arg: 2},
 			{Kind: RCorrupt, Arg: 31},
 			{Kind: RCorrupt, Arg: 4097},
@@ -41,7 +36,7 @@ func TestResumeCorruptRejectedThenBackupResumes(t *testing.T) {
 func TestResumeStaleCheckpointStillConverges(t *testing.T) {
 	RunResumeSchedule(t, ResumeSchedule{
 		Seed: 203, N: 200, InstSeed: 9, SolverSeed: 13,
-		Ops: []ResumeOp{
+		Ops: []Op{
 			{Kind: RKill, Arg: 3},
 			{Kind: RStale, Arg: 0},
 		},
@@ -54,7 +49,7 @@ func TestResumeStaleCheckpointStillConverges(t *testing.T) {
 func TestResumeTornTmpIgnored(t *testing.T) {
 	RunResumeSchedule(t, ResumeSchedule{
 		Seed: 204, N: 160, InstSeed: 2, SolverSeed: 5,
-		Ops: []ResumeOp{
+		Ops: []Op{
 			{Kind: RTorn, Arg: 17}, // before any checkpoint exists
 			{Kind: RKill, Arg: 2},
 			{Kind: RTorn, Arg: 255}, // beside a live checkpoint
@@ -65,59 +60,9 @@ func TestResumeTornTmpIgnored(t *testing.T) {
 
 // TestResumeSeededMatrix runs generated kill-and-resume schedules for a
 // fixed seed batch; CI and local runs can extend the matrix with a
-// comma-separated FAULTINJECT_RESUME_SEEDS. Any failure prints its
-// seed, and rerunning with FAULTINJECT_RESUME_SEEDS=<seed> replays the
-// identical schedule.
+// comma-separated FAULTINJECT_RESUME_SEEDS.
 func TestResumeSeededMatrix(t *testing.T) {
-	seeds := []uint64{1, 2, 3, 4}
-	if env := os.Getenv("FAULTINJECT_RESUME_SEEDS"); env != "" {
-		seeds = nil
-		for _, f := range strings.Split(env, ",") {
-			s, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
-			if err != nil {
-				t.Fatalf("FAULTINJECT_RESUME_SEEDS entry %q: %v", f, err)
-			}
-			seeds = append(seeds, s)
-		}
-	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(strconv.FormatUint(seed, 10), func(t *testing.T) {
-			t.Parallel()
-			RunResumeSchedule(t, GenResumeSchedule(seed))
-		})
-	}
-}
-
-// The replay guarantee: the same seed expands to the identical resume
-// schedule.
-func TestGenResumeScheduleDeterministic(t *testing.T) {
-	a, b := GenResumeSchedule(42), GenResumeSchedule(42)
-	if a.N != b.N || a.InstSeed != b.InstSeed || a.SolverSeed != b.SolverSeed ||
-		len(a.Ops) != len(b.Ops) || len(a.Workers) != len(b.Workers) {
-		t.Fatalf("schedule dimensions diverge: %+v vs %+v", a, b)
-	}
-	for i := range a.Ops {
-		if a.Ops[i] != b.Ops[i] {
-			t.Fatalf("op %d diverges: %+v vs %+v", i, a.Ops[i], b.Ops[i])
-		}
-	}
-	for i := range a.Workers {
-		if a.Workers[i] != b.Workers[i] {
-			t.Fatalf("worker count %d diverges", i)
-		}
-	}
-	c := GenResumeSchedule(43)
-	if a.N == c.N && a.InstSeed == c.InstSeed && a.SolverSeed == c.SolverSeed && len(a.Ops) == len(c.Ops) {
-		same := true
-		for i := range a.Ops {
-			if a.Ops[i] != c.Ops[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("different seeds produced identical resume schedules")
-		}
-	}
+	seedMatrix(t, "FAULTINJECT_RESUME_SEEDS", []uint64{1, 2, 3, 4}, func(t *testing.T, seed uint64) {
+		RunResumeSchedule(t, GenResumeSchedule(seed))
+	})
 }

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,9 @@ import (
 	"cimsa/internal/serve"
 )
 
-// OpKind enumerates the faults and probes a schedule can script.
+// OpKind enumerates every fault and probe a schedule can script. Each
+// family drives its own range: the service/tenant ops, the
+// kill-and-resume ops (R*) and the distributed fleet ops (F*).
 type OpKind int
 
 const (
@@ -48,38 +51,68 @@ const (
 	// OpDupSubmit re-submits the identical task of a completed job; with
 	// the cache on it must settle as a hit (no solver run).
 	OpDupSubmit
+
+	// RKill cancels the solve at a scripted progress event. Cancellation
+	// flushes a mid-epoch snapshot, so this is the "process told to die,
+	// managed to save state" kill. The next leg resumes from it.
+	RKill
+	// RCorrupt flips one byte of the checkpoint and proves the next
+	// resume rejects it with a diagnostic naming the file — never
+	// silently annealing from scratch or from bad state — then restores
+	// the pristine bytes.
+	RCorrupt
+	// RStale swaps the current checkpoint for an earlier snapshot of the
+	// same run (the "process died before its latest write was durable"
+	// kill). Resuming replays more of the trajectory but, because every
+	// snapshot is a pure function of (instance, options, epoch), must
+	// still converge to the identical final tour.
+	RStale
+	// RTorn drops garbage temp-file debris next to the checkpoint — the
+	// residue of a crash mid-atomic-write. Load reads only the final
+	// path, so resume must ignore it.
+	RTorn
+
+	// FKill hard-kills the worker holding the in-flight job (kill -9:
+	// local solves cancelled, nothing further sent), then expires its
+	// lease. The job must be re-claimed and resumed from the newest
+	// checkpoint that node shipped before dying. The dead node is
+	// replaced so the fleet keeps its size.
+	FKill
+	// FBlackhole cuts the holder's network both ways — heartbeats,
+	// checkpoint ships and progress posts all fail — until the lease
+	// lapses and the job is reassigned; then the partition heals. The
+	// isolated worker is still alive and still solving, so its late
+	// posts must be dropped as stale (ErrGone), never double-settling
+	// the job: the lease-expiry race, end to end.
+	FBlackhole
+	// FClaimStorm races a burst of synthetic registered nodes calling
+	// Claim concurrently against the live fleet, then fires stale
+	// completions at the in-flight job. At most one storm claimant can
+	// win any job (its claim is immediately revoked back to the real
+	// workers), and none of the stale completions may settle anything.
+	FClaimStorm
+	// FRestart kills every worker and abandons the coordinator and
+	// scheduler mid-anneal — the whole control plane dies — then boots a
+	// fresh one from the journal and checkpoint dir with a new fleet.
+	// Unfinished jobs must be recovered, re-offered, re-claimed and
+	// resumed; finished jobs must stay finished.
+	FRestart
 )
 
+var opNames = [...]string{
+	OpSubmit: "submit", OpCancel: "cancel", OpProgress: "progress",
+	OpComplete: "complete", OpFail: "fail", OpBurst: "burst",
+	OpSubscribe: "subscribe", OpAbandon: "abandon", OpSlow: "slow-subscriber",
+	OpClockSweep: "clock-sweep", OpClockJumpBack: "clock-jump-back",
+	OpQuiesce: "quiesce", OpStorm: "storm", OpDupSubmit: "dup-submit",
+	RKill: "kill", RCorrupt: "corrupt", RStale: "stale-swap", RTorn: "torn-tmp",
+	FKill: "kill-node", FBlackhole: "blackhole", FClaimStorm: "claim-storm",
+	FRestart: "coordinator-restart",
+}
+
 func (k OpKind) String() string {
-	switch k {
-	case OpSubmit:
-		return "submit"
-	case OpCancel:
-		return "cancel"
-	case OpProgress:
-		return "progress"
-	case OpComplete:
-		return "complete"
-	case OpFail:
-		return "fail"
-	case OpBurst:
-		return "burst"
-	case OpSubscribe:
-		return "subscribe"
-	case OpAbandon:
-		return "abandon"
-	case OpSlow:
-		return "slow-subscriber"
-	case OpClockSweep:
-		return "clock-sweep"
-	case OpClockJumpBack:
-		return "clock-jump-back"
-	case OpQuiesce:
-		return "quiesce"
-	case OpStorm:
-		return "storm"
-	case OpDupSubmit:
-		return "dup-submit"
+	if k >= 0 && int(k) < len(opNames) {
+		return opNames[k]
 	}
 	return fmt.Sprintf("op(%d)", int(k))
 }
@@ -89,6 +122,79 @@ func (k OpKind) String() string {
 type Op struct {
 	Kind OpKind
 	Arg  int
+}
+
+// family is what one schedule family plugs into the shared op loop.
+type family interface {
+	logf(format string, args ...any)
+	// finished names why the remaining ops have nothing left to act on,
+	// or returns "" while they do.
+	finished() string
+	step(op Op)
+}
+
+// drive runs a schedule's ops in order against one family.
+func drive(f family, ops []Op) {
+	for i, op := range ops {
+		if why := f.finished(); why != "" {
+			f.logf("op %d: %s skipped, %s", i, op.Kind, why)
+			continue
+		}
+		f.logf("op %d: %s(%d)", i, op.Kind, op.Arg)
+		f.step(op)
+	}
+}
+
+// opLog records what a run did, so a failure names the variable that
+// replays it (its prefix: "[seed N]", "[resume seed N]", "[fleet seed
+// N]") and the ops that led up to it.
+type opLog struct {
+	t      *testing.T
+	prefix string
+	lines  []string
+}
+
+func (l *opLog) logf(format string, args ...any) {
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// fatalf aborts with the replay prefix and the tail of the op log.
+func (l *opLog) fatalf(format string, args ...any) {
+	l.t.Helper()
+	tail := l.lines
+	if len(tail) > 16 {
+		tail = tail[len(tail)-16:]
+	}
+	l.t.Fatalf("%s %s\nrecent ops:\n  %s", l.prefix, fmt.Sprintf(format, args...), strings.Join(tail, "\n  "))
+}
+
+// logAll prints the whole op log of a passing run under -v.
+func (l *opLog) logAll(msg string) {
+	if testing.Verbose() {
+		l.t.Logf("%s %s after:\n  %s", l.prefix, msg, strings.Join(l.lines, "\n  "))
+	}
+}
+
+// mixRow is one row of a cumulative op-mix table: a draw in [0, 100)
+// below `below` (and at or above the previous row's) picks kind.
+type mixRow struct {
+	below int
+	kind  OpKind
+}
+
+// genOps draws n weighted ops, each with a 16-bit arg, then closes the
+// schedule with a quiesce so every run ends on a full audit.
+func genOps(r *rng.Rand, n int, mix []mixRow) []Op {
+	ops := make([]Op, 0, n+1)
+	for i := 0; i < n; i++ {
+		x := r.Intn(100)
+		row := 0
+		for x >= mix[row].below {
+			row++
+		}
+		ops = append(ops, Op{Kind: mix[row].kind, Arg: int(r.Uint64() & 0xffff)})
+	}
+	return append(ops, Op{Kind: OpQuiesce})
 }
 
 // Schedule is a fully seeded fault script: the scheduler's dimensions
@@ -110,6 +216,22 @@ type Schedule struct {
 	Ops          []Op
 }
 
+// serveMix and tenantMix are the op mixes of GenSchedule and
+// GenTenantSchedule.
+var serveMix = []mixRow{
+	{26, OpSubmit}, {38, OpCancel}, {52, OpProgress}, {62, OpComplete},
+	{68, OpFail}, {72, OpBurst}, {78, OpSubscribe}, {82, OpAbandon},
+	{85, OpSlow}, {88, OpClockSweep}, {91, OpClockJumpBack}, {96, OpQuiesce},
+	{100, OpStorm},
+}
+
+var tenantMix = []mixRow{
+	{22, OpSubmit}, {32, OpDupSubmit}, {42, OpCancel}, {54, OpProgress},
+	{64, OpComplete}, {69, OpFail}, {73, OpBurst}, {78, OpSubscribe},
+	{81, OpAbandon}, {84, OpClockSweep}, {87, OpClockJumpBack}, {94, OpQuiesce},
+	{100, OpStorm},
+}
+
 // GenSchedule expands a seed into a schedule. The op mix is weighted
 // toward churn (submit/cancel/progress) with periodic quiesce points so
 // conservation is asserted many times mid-run, not just at the end.
@@ -121,41 +243,7 @@ func GenSchedule(seed uint64) Schedule {
 		Depth:  2 + r.Intn(5),
 		Replay: 4 + r.Intn(13),
 	}
-	n := 60 + r.Intn(61)
-	for i := 0; i < n; i++ {
-		x := r.Intn(100)
-		var k OpKind
-		switch {
-		case x < 26:
-			k = OpSubmit
-		case x < 38:
-			k = OpCancel
-		case x < 52:
-			k = OpProgress
-		case x < 62:
-			k = OpComplete
-		case x < 68:
-			k = OpFail
-		case x < 72:
-			k = OpBurst
-		case x < 78:
-			k = OpSubscribe
-		case x < 82:
-			k = OpAbandon
-		case x < 85:
-			k = OpSlow
-		case x < 88:
-			k = OpClockSweep
-		case x < 91:
-			k = OpClockJumpBack
-		case x < 96:
-			k = OpQuiesce
-		default:
-			k = OpStorm
-		}
-		sc.Ops = append(sc.Ops, Op{Kind: k, Arg: int(r.Uint64() & 0xffff)})
-	}
-	sc.Ops = append(sc.Ops, Op{Kind: OpQuiesce})
+	sc.Ops = genOps(r, 60+r.Intn(61), serveMix)
 	return sc
 }
 
@@ -192,41 +280,7 @@ func GenTenantSchedule(seed uint64) Schedule {
 		}
 		sc.Policies[name] = pol
 	}
-	n := 70 + r.Intn(51)
-	for i := 0; i < n; i++ {
-		x := r.Intn(100)
-		var k OpKind
-		switch {
-		case x < 22:
-			k = OpSubmit
-		case x < 32:
-			k = OpDupSubmit
-		case x < 42:
-			k = OpCancel
-		case x < 54:
-			k = OpProgress
-		case x < 64:
-			k = OpComplete
-		case x < 69:
-			k = OpFail
-		case x < 73:
-			k = OpBurst
-		case x < 78:
-			k = OpSubscribe
-		case x < 81:
-			k = OpAbandon
-		case x < 84:
-			k = OpClockSweep
-		case x < 87:
-			k = OpClockJumpBack
-		case x < 94:
-			k = OpQuiesce
-		default:
-			k = OpStorm
-		}
-		sc.Ops = append(sc.Ops, Op{Kind: k, Arg: int(r.Uint64() & 0xffff)})
-	}
-	sc.Ops = append(sc.Ops, Op{Kind: OpQuiesce})
+	sc.Ops = genOps(r, 70+r.Intn(51), tenantMix)
 	return sc
 }
 
@@ -235,16 +289,16 @@ func GenTenantSchedule(seed uint64) Schedule {
 func RunSchedule(t *testing.T, sc Schedule) {
 	t.Helper()
 	h := NewHarness(t, sc)
-	for i, op := range sc.Ops {
-		h.step(i, op)
-	}
+	drive(h, sc.Ops)
 	h.Finish()
 }
 
+// finished is always "": the service harness has work for every op.
+func (h *Harness) finished() string { return "" }
+
 // step executes one scripted op.
-func (h *Harness) step(i int, op Op) {
+func (h *Harness) step(op Op) {
 	h.t.Helper()
-	h.logf("op %d: %s(%d)", i, op.Kind, op.Arg)
 	switch op.Kind {
 	case OpSubmit:
 		h.submit(op.Arg)
@@ -293,7 +347,7 @@ func (h *Harness) step(i int, op Op) {
 	case OpStorm:
 		h.storm(op.Arg)
 	default:
-		h.fatalf("unknown op kind %v", op.Kind)
+		h.fatalf("op %v is not a service op", op.Kind)
 	}
 }
 
@@ -320,8 +374,7 @@ func (h *Harness) pickRunning(arg int) *trackedJob {
 		if r := h.running(); len(r) > 0 {
 			return r[arg%len(r)]
 		}
-		_, running := h.countPhases()
-		if running >= h.cfg.MaxConcurrent || !h.promotable() {
+		if !h.promotable(false) {
 			return nil
 		}
 		if time.Now().After(deadline) {
