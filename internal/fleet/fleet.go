@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -308,6 +309,9 @@ func (c *Coordinator) Claim(name string) (*Grant, error) {
 	c.tokenSeq++
 	o.node = name
 	o.token = c.tokenSeq
+	// A cancel still pending for this job was meant for the node's lost
+	// claim; delivered now, it would abort the claim being granted.
+	n.cancels = slices.DeleteFunc(n.cancels, func(pending string) bool { return pending == id })
 	o.expires = now.Add(c.cfg.Lease)
 	if c.cfg.Journal != nil {
 		if err := c.cfg.Journal.Claimed(id, name, o.expires); err != nil {

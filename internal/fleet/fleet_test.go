@@ -840,3 +840,36 @@ func TestStaleShipAfterReclaim(t *testing.T) {
 		t.Fatalf("checkpoint on disk = %q, %v; want from-b", data, err)
 	}
 }
+
+// TestReclaimVoidsPendingCancel: a node whose lease lapsed has the job
+// queued as a cancel for its next heartbeat. If that same node claims
+// the job again before heartbeating, the pending cancel belongs to the
+// lost claim; delivering it would abort the new solve, and the node
+// would settle the job as failed with its valid token.
+func TestReclaimVoidsPendingCancel(t *testing.T) {
+	clk := newFakeClock()
+	coord := fleet.NewCoordinator(fleet.Config{Lease: 10 * time.Second, Now: clk.Now})
+	if err := coord.Register("a"); err != nil {
+		t.Fatal(err)
+	}
+	go coord.Offer(context.Background(), fleet.Job{ID: "r1", Source: json.RawMessage(`{}`), CheckpointDir: t.TempDir()}, problem.Run{})
+	waitUntil(t, "r1 claimable", func() bool { return coord.Stats().Claimable == 1 })
+
+	if g, err := coord.Claim("a"); err != nil || g == nil {
+		t.Fatalf("claim: %v, %v", g, err)
+	}
+	clk.Advance(11 * time.Second)
+	if n := coord.Sweep(); n != 1 {
+		t.Fatalf("sweep revoked %d, want 1", n)
+	}
+	if g, err := coord.Claim("a"); err != nil || g == nil {
+		t.Fatalf("re-claim: %v, %v", g, err)
+	}
+	cancels, err := coord.Heartbeat("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cancels) != 0 {
+		t.Fatalf("heartbeat after re-claim cancels %v; the lost claim's cancel must not reach the new one", cancels)
+	}
+}
