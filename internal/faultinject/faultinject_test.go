@@ -121,7 +121,7 @@ func TestSolverErrorAtChosenEpoch(t *testing.T) {
 	}
 	sc := fixedSchedule(105, 1, 2, 8, ops)
 	h := NewHarness(t, sc)
-	drive(h, sc.Ops)
+	h.drive(sc.Ops, nil, h.step)
 	tj := h.jobs[0]
 	st := tj.job.Status()
 	if st.State != serve.StateFailed {
@@ -189,7 +189,7 @@ func TestMixedProblemGaugeConservation(t *testing.T) {
 	}
 	sc := fixedSchedule(108, 2, 8, 8, ops)
 	h := NewHarness(t, sc)
-	drive(h, sc.Ops)
+	h.drive(sc.Ops, nil, h.step)
 	seen := map[string]bool{}
 	for _, tj := range h.jobs {
 		seen[tj.problem] = true
@@ -233,7 +233,7 @@ func TestTenantQuotaStormConservation(t *testing.T) {
 		},
 	}
 	h := NewHarness(t, sc)
-	drive(h, sc.Ops)
+	h.drive(sc.Ops, nil, h.step)
 	if h.rejected == 0 {
 		t.Fatal("quota schedule produced no rejections; caps not exercised")
 	}
@@ -258,7 +258,7 @@ func TestCachedDuplicateSettles(t *testing.T) {
 		},
 	}
 	h := NewHarness(t, sc)
-	drive(h, sc.Ops)
+	h.drive(sc.Ops, nil, h.step)
 	if len(h.dups) != 2 {
 		t.Fatalf("expected 2 tracked duplicates, have %d", len(h.dups))
 	}

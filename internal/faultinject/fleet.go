@@ -599,7 +599,7 @@ func RunFleetSchedule(t *testing.T, sc FleetSchedule) {
 	}
 	fr.boot(batch)
 
-	drive(fr, sc.Ops)
+	fr.drive(sc.Ops, fr.finished, fr.step)
 
 	// Drain: every job must reach a terminal state without further help.
 	for _, fj := range fr.jobs {

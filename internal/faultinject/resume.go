@@ -255,7 +255,7 @@ func RunResumeSchedule(t *testing.T, sc ResumeSchedule) {
 		rr.fatalf("baseline solve: %v", err)
 	}
 
-	drive(rr, sc.Ops)
+	rr.drive(sc.Ops, rr.finished, rr.step)
 
 	got := rr.done
 	if got == nil {

@@ -124,24 +124,19 @@ type Op struct {
 	Arg  int
 }
 
-// family is what one schedule family plugs into the shared op loop.
-type family interface {
-	logf(format string, args ...any)
-	// finished names why the remaining ops have nothing left to act on,
-	// or returns "" while they do.
-	finished() string
-	step(op Op)
-}
-
-// drive runs a schedule's ops in order against one family.
-func drive(f family, ops []Op) {
+// drive runs a schedule's ops in order through one family's step.
+// finished names why the remaining ops have nothing left to act on, or
+// returns "" while they do; nil means the family never runs out.
+func (l *opLog) drive(ops []Op, finished func() string, step func(Op)) {
 	for i, op := range ops {
-		if why := f.finished(); why != "" {
-			f.logf("op %d: %s skipped, %s", i, op.Kind, why)
-			continue
+		if finished != nil {
+			if why := finished(); why != "" {
+				l.logf("op %d: %s skipped, %s", i, op.Kind, why)
+				continue
+			}
 		}
-		f.logf("op %d: %s(%d)", i, op.Kind, op.Arg)
-		f.step(op)
+		l.logf("op %d: %s(%d)", i, op.Kind, op.Arg)
+		step(op)
 	}
 }
 
@@ -289,12 +284,9 @@ func GenTenantSchedule(seed uint64) Schedule {
 func RunSchedule(t *testing.T, sc Schedule) {
 	t.Helper()
 	h := NewHarness(t, sc)
-	drive(h, sc.Ops)
+	h.drive(sc.Ops, nil, h.step)
 	h.Finish()
 }
-
-// finished is always "": the service harness has work for every op.
-func (h *Harness) finished() string { return "" }
 
 // step executes one scripted op.
 func (h *Harness) step(op Op) {
