@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"cimsa"
+	"cimsa/internal/checkpoint"
+	"cimsa/internal/noise"
 )
 
 func ckptOptions(dir string) cimsa.Options {
@@ -53,6 +55,15 @@ func TestFacadeCheckpointResume(t *testing.T) {
 	}
 	if filepath.Dir(path) != dir {
 		t.Fatalf("checkpoint %q landed outside %q", path, dir)
+	}
+	// The cancellation flush is waited for, so the file left behind is
+	// the flush itself, not an older epoch snapshot.
+	snap, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Solver == nil || !snap.Solver.Flush {
+		t.Fatalf("file after the interrupt is not the cancellation flush: %+v", snap.Solver)
 	}
 
 	opt = ckptOptions(dir)
@@ -170,25 +181,51 @@ func TestFacadeResumeRejectsCrossFabric(t *testing.T) {
 	}
 }
 
-// TestFacadeCheckpointCadence: EveryEpochs thins epoch snapshots.
+// TestFacadeCheckpointCadence: EveryEpochs thins epoch snapshots. The
+// background writer may coalesce offered snapshots, so the counts are
+// bounds: every=4 offers one snapshot per four of the E =
+// levels × epochs write-back epochs and writes at most that many.
 func TestFacadeCheckpointCadence(t *testing.T) {
 	in := cimsa.GenerateInstance("facade-ckpt-cadence", 160, 3)
-	count := func(every int) int {
+	count := func(every int) (writes, epochs int) {
 		opt := ckptOptions(t.TempDir())
 		opt.Checkpoint.EveryEpochs = every
-		writes := 0
 		opt.Checkpoint.OnWrite = func(string) { writes++ }
-		if _, err := cimsa.Solve(in, opt); err != nil {
+		rep, err := cimsa.Solve(in, opt)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return writes
+		return writes, rep.Solver.Levels * noise.PaperSchedule().Epochs
 	}
-	all, thinned := count(1), count(4)
+	all, _ := count(1)
+	thinned, e := count(4)
 	if all == 0 || thinned == 0 {
 		t.Fatalf("no writes (every=1: %d, every=4: %d)", all, thinned)
 	}
-	if thinned >= all {
-		t.Fatalf("EveryEpochs=4 wrote %d snapshots, every-epoch wrote %d", thinned, all)
+	if limit := (e + 3) / 4; thinned > limit {
+		t.Fatalf("EveryEpochs=4 wrote %d snapshots over %d epochs, want at most %d", thinned, e, limit)
+	}
+}
+
+// TestFacadeCheckpointWriteError: a non-empty directory squatting on
+// the checkpoint path makes every write's rename fail, and the solve
+// must fail with that error rather than finish without a checkpoint.
+func TestFacadeCheckpointWriteError(t *testing.T) {
+	in := cimsa.GenerateInstance("facade-ckpt-werr", 160, 3)
+	dir := t.TempDir()
+	opt := ckptOptions(dir)
+	path := checkpoint.DefaultPath(dir, in, opt.Seed)
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writes := 0
+	opt.Checkpoint.OnWrite = func(string) { writes++ }
+	rep, err := cimsa.Solve(in, opt)
+	if err == nil || !strings.Contains(err.Error(), "rename") {
+		t.Fatalf("solve over an unwritable checkpoint path: got %v, want the rename error", err)
+	}
+	if rep != nil || writes != 0 {
+		t.Fatalf("failed solve returned a report (%v) or reported %d writes", rep != nil, writes)
 	}
 }
 

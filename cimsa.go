@@ -124,15 +124,24 @@ type Checkpoint struct {
 	// Dir is the checkpoint directory (created if missing). Empty
 	// disables checkpointing entirely.
 	Dir string
-	// EveryEpochs writes one snapshot per that many write-back epochs
-	// (0 or 1: every epoch). Restart boundaries and cancellation
-	// flushes are always written regardless of cadence.
+	// EveryEpochs offers one snapshot per that many write-back epochs
+	// (0 or 1: every epoch). Epoch snapshots go to a background writer
+	// and the solve continues at once; one that is superseded before its
+	// write starts is dropped, so the file always holds the newest
+	// complete snapshot the writer reached. Restart boundaries and
+	// cancellation flushes are always written, and the solve waits for
+	// them. A write error fails the solve at the next snapshot or on
+	// return.
 	EveryEpochs int
 	// Resume loads Dir's checkpoint for this (instance, seed) pair and
 	// continues from it; a missing file just starts fresh.
 	Resume bool
 	// OnWrite, when non-nil, is called with the file path after every
-	// successful snapshot write (on the solve goroutine; must be fast).
+	// completed snapshot write. It runs on the writer goroutine, never
+	// concurrently with itself, and every call happens before
+	// SolveContext returns. It must not wait on the solve: a flush
+	// blocks the solve until OnWrite has returned. Observers that count
+	// writes or ship the newest file elsewhere rely on this contract.
 	OnWrite func(path string)
 	// OnResume, when non-nil, is called with the file path when a
 	// checkpoint was found and the solve will continue from it.
@@ -182,7 +191,7 @@ func Solve(in *Instance, opt Options) (*Report, error) {
 // abort promptly. A run whose context is never cancelled is
 // bit-identical to Solve with the same options — the plumbing consumes
 // no randomness.
-func SolveContext(ctx context.Context, in *Instance, opt Options) (*Report, error) {
+func SolveContext(ctx context.Context, in *Instance, opt Options) (rep *Report, err error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,25 +238,28 @@ func SolveContext(ctx context.Context, in *Instance, opt Options) (*Report, erro
 			every = 1
 		}
 		epochs := 0
-		onWrite := ck.OnWrite
+		w := checkpoint.NewWriter(path, ck.OnWrite)
+		// Close on every return path: the job's owner may delete Dir as
+		// soon as the solve returns, so no write may outlive it.
+		defer func() {
+			if cerr := w.Close(); err == nil && cerr != nil {
+				rep, err = nil, cerr
+			}
+		}()
 		cfg.Checkpoint = func(s *checkpoint.Snapshot) error {
-			// Epoch snapshots honour the cadence; restart boundaries and
-			// cancellation flushes always hit disk — they are the last
-			// state the interrupted run will ever offer.
-			if s.Solver != nil && !s.Solver.Flush {
+			// Epoch snapshots honour the cadence and are handed off
+			// without waiting; restart boundaries and cancellation
+			// flushes always hit disk before the solve moves on — they
+			// are the last state the interrupted run will ever offer.
+			wait := s.Solver == nil || s.Solver.Flush
+			if !wait {
 				write := epochs%every == 0
 				epochs++
 				if !write {
 					return nil
 				}
 			}
-			if err := checkpoint.Save(path, s); err != nil {
-				return err
-			}
-			if onWrite != nil {
-				onWrite(path)
-			}
-			return nil
+			return w.Put(s, wait)
 		}
 	}
 	a, err := core.New(cfg)

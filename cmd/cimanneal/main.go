@@ -61,7 +61,7 @@ func runTSP() {
 		ckptDir  = flag.String("checkpoint", "", "write durable solve checkpoints to this directory (one file per instance+seed)")
 		ckptN    = flag.Int("checkpoint-every", 1, "with -checkpoint: write one snapshot per this many write-back epochs")
 		resume   = flag.Bool("resume", false, "with -checkpoint: continue from the directory's checkpoint if one exists")
-		killApt  = flag.Int("kill-after", 0, "exit uncleanly (status 137) after this many checkpoint writes — crash testing only")
+		killApt  = flag.Int("kill-after", 0, "exit uncleanly (status 137) after this many completed checkpoint writes — crash testing only")
 		tourOut  = flag.String("tour", "", "write the visiting order to this file")
 		svgOut   = flag.String("svg", "", "render the tour to this SVG file")
 		noRef    = flag.Bool("noref", false, "skip the classical reference solver")

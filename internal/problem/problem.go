@@ -43,8 +43,10 @@ type Run struct {
 	CheckpointDir string
 	// CheckpointEvery throttles snapshots to one per that many epochs.
 	CheckpointEvery int
-	// OnCheckpointWrite / OnCheckpointResume observe checkpoint
-	// activity (for metrics); called on the solve goroutine.
+	// OnCheckpointWrite observes each completed snapshot write; it must
+	// not wait on the solve. The tsp backend calls it from its
+	// checkpoint writer goroutine (cimsa.Checkpoint.OnWrite's contract).
+	// OnCheckpointResume is called on the solve goroutine.
 	OnCheckpointWrite  func(path string)
 	OnCheckpointResume func(path string)
 }

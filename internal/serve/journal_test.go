@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,6 +138,77 @@ func TestSchedulerRetiresJournaledJobs(t *testing.T) {
 	_, entries := openTestJournal(t, path)
 	if len(entries) != 0 {
 		t.Fatalf("finished job still live in journal: %+v", entries)
+	}
+}
+
+// TestRetireLeavesNoCheckpointFiles runs many checkpointed tsp jobs
+// through a journaled scheduler and then walks the state dir: every
+// snapshot write must have finished before its solve returned, so
+// retire's delete of the job's checkpoint directory is final — no
+// .ckpt or .ckpt.tmp file survives and no directory is recreated.
+func TestRetireLeavesNoCheckpointFiles(t *testing.T) {
+	stateDir := t.TempDir()
+	ckptRoot := filepath.Join(stateDir, "checkpoints")
+	j, _ := openTestJournal(t, filepath.Join(stateDir, "journal.jsonl"))
+	var late atomic.Int64
+	s := NewScheduler(Config{
+		Journal:         j,
+		CheckpointDir:   ckptRoot,
+		CheckpointEvery: 1,
+		QueueDepth:      32,
+		Logf:            t.Logf,
+		Solve: func(ctx context.Context, task problem.Task, run problem.Run) (*problem.Result, error) {
+			var returned atomic.Bool
+			inner := run.OnCheckpointWrite
+			run.OnCheckpointWrite = func(p string) {
+				if returned.Load() {
+					late.Add(1)
+				}
+				inner(p)
+			}
+			defer returned.Store(true)
+			return task.Solve(ctx, run)
+		},
+	})
+	defer s.Shutdown(context.Background())
+	const jobs = 24
+	var pending []*Job
+	for i := 0; i < jobs; i++ {
+		in := cimsa.GenerateInstance(fmt.Sprintf("retire-ckpt-%d", i), 200, uint64(i))
+		job, err := s.Submit(Spec{
+			Task:   tspprob.New(in, cimsa.Options{PMax: 3, Seed: uint64(i), SkipHardware: true}),
+			Source: jobRequest(t, 200),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, job)
+	}
+	for _, job := range pending {
+		if st := waitTerminal(t, job); st.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", job.ID, st.State, st.Error)
+		}
+	}
+	if s.Metrics.CheckpointsWritten.Load() == 0 {
+		t.Fatal("no checkpoint was written; the test exercised nothing")
+	}
+	if n := late.Load(); n != 0 {
+		t.Fatalf("%d checkpoint writes completed after their solve returned", n)
+	}
+	err := filepath.WalkDir(stateDir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(p, ".ckpt") || strings.HasSuffix(p, ".ckpt.tmp") {
+			t.Errorf("checkpoint file survived its job: %s", p)
+		}
+		if d.IsDir() && filepath.Dir(p) == ckptRoot {
+			t.Errorf("job checkpoint directory exists after settle: %s", p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
