@@ -43,7 +43,9 @@ func (o *Options) withDefaults() Options {
 
 // Ising runs single-spin-flip Metropolis annealing on a general Ising
 // model, mutating spins in place, and returns the run summary. The final
-// spin state is the last accepted state (not necessarily the best).
+// spin state is the last accepted state (not necessarily the best). It
+// anneals the model's compiled sparse view, so a proposal costs
+// O(degree) rather than O(N).
 func Ising(m *ising.Model, spins []int8, opts Options) Result {
 	res, _ := IsingContext(context.Background(), m, spins, opts)
 	return res
@@ -57,7 +59,8 @@ func Ising(m *ising.Model, spins []int8, opts Options) Result {
 func IsingContext(ctx context.Context, m *ising.Model, spins []int8, opts Options) (Result, error) {
 	o := opts.withDefaults()
 	r := rng.New(o.Seed)
-	res := Result{Energy: m.Energy(spins)}
+	sp := ising.Compile(m)
+	res := Result{Energy: sp.Energy(spins)}
 	cur := res.Energy
 	for sweep := 0; sweep < o.Sweeps; sweep++ {
 		if err := ctx.Err(); err != nil {
@@ -66,7 +69,7 @@ func IsingContext(ctx context.Context, m *ising.Model, spins []int8, opts Option
 		temp := o.Schedule.Temperature(sweep, o.Sweeps)
 		for step := 0; step < m.N; step++ {
 			i := r.Intn(m.N)
-			delta := m.DeltaFlip(spins, i)
+			delta := sp.DeltaFlip(spins, i)
 			res.Proposed++
 			if accept(delta, temp, r) {
 				ising.FlipSpin(spins, i)

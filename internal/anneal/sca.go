@@ -61,13 +61,15 @@ func SCAContext(ctx context.Context, m *ising.Model, opts SCAOptions) (SCAResult
 	if o.Steps <= 0 {
 		o.Steps = 500
 	}
+	sp := ising.Compile(m)
 	// Scale defaults from the mean absolute coupling.
 	var sum float64
 	var count int
-	for i := 0; i < m.N; i++ {
-		for j := i + 1; j < m.N; j++ {
-			if m.J[i][j] != 0 {
-				sum += math.Abs(m.J[i][j])
+	for i := 0; i < sp.N; i++ {
+		cols, vals := sp.Row(i)
+		for k, j := range cols {
+			if int(j) > i {
+				sum += math.Abs(vals[k])
 				count++
 			}
 		}
@@ -114,7 +116,7 @@ func SCAContext(ctx context.Context, m *ising.Model, opts SCAOptions) (SCAResult
 		temp := o.TStart * math.Pow(o.TEnd/o.TStart, frac)
 		q := o.QStart + frac*(o.QEnd-o.QStart)
 		for i := 0; i < m.N; i++ {
-			fields[i] = m.LocalField(spins, i) + q*float64(spins[i])
+			fields[i] = sp.LocalField(spins, i) + q*float64(spins[i])
 		}
 		for i := 0; i < m.N; i++ {
 			// P(next = +1) from the logistic (heat-bath) rule.
@@ -132,7 +134,7 @@ func SCAContext(ctx context.Context, m *ising.Model, opts SCAOptions) (SCAResult
 			}
 		}
 		spins, next = next, spins
-		if e := m.Energy(spins); e < best {
+		if e := sp.Energy(spins); e < best {
 			best = e
 			copy(bestSpins, spins)
 		}

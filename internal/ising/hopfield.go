@@ -10,25 +10,26 @@ import "fmt"
 // CIM array performs, which is why the Ising model maps onto a memory
 // crossbar.
 type Hopfield struct {
-	m *Model
+	s *Sparse
 }
 
-// NewHopfield wraps an Ising model as a Hopfield network.
+// NewHopfield compiles an Ising model into a Hopfield network over its
+// sparse coupling rows; later edits to m do not reach the network.
 func NewHopfield(m *Model) (*Hopfield, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("ising: hopfield: %w", err)
 	}
-	return &Hopfield{m: m}, nil
+	return &Hopfield{s: Compile(m)}, nil
 }
 
 // N returns the neuron count.
-func (h *Hopfield) N() int { return h.m.N }
+func (h *Hopfield) N() int { return h.s.N }
 
 // StepAsync updates neuron i in place: σ_i ← sign(Σ J_ij σ_j + h_i).
 // Zero local field keeps the current state (no spurious flip). Returns
 // true if the neuron changed.
 func (h *Hopfield) StepAsync(state []int8, i int) bool {
-	field := h.m.LocalField(state, i)
+	field := h.s.LocalField(state, i)
 	var next int8
 	switch {
 	case field > 0:
@@ -51,9 +52,9 @@ func (h *Hopfield) StepAsync(state []int8, i int) bool {
 // dynamics can 2-cycle; the annealer's chromatic schedule avoids that by
 // only updating independent spins together.
 func (h *Hopfield) StepSync(state []int8) int {
-	fields := make([]float64, h.m.N)
+	fields := make([]float64, h.s.N)
 	for i := range fields {
-		fields[i] = h.m.LocalField(state, i)
+		fields[i] = h.s.LocalField(state, i)
 	}
 	changed := 0
 	for i, f := range fields {
@@ -81,7 +82,7 @@ func (h *Hopfield) StepSync(state []int8) int {
 func (h *Hopfield) RunAsync(state []int8, maxSweeps int) int {
 	for sweep := 1; sweep <= maxSweeps; sweep++ {
 		changed := false
-		for i := 0; i < h.m.N; i++ {
+		for i := 0; i < h.s.N; i++ {
 			if h.StepAsync(state, i) {
 				changed = true
 			}
@@ -94,4 +95,4 @@ func (h *Hopfield) RunAsync(state []int8, maxSweeps int) int {
 }
 
 // Energy returns the Hamiltonian of the state.
-func (h *Hopfield) Energy(state []int8) float64 { return h.m.Energy(state) }
+func (h *Hopfield) Energy(state []int8) float64 { return h.s.Energy(state) }

@@ -10,6 +10,7 @@ package maxcut
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"cimsa/internal/anneal"
 	"cimsa/internal/ising"
@@ -30,12 +31,15 @@ type Graph struct {
 
 // Validate checks vertex ranges and non-negative weights (Max-Cut with
 // negative weights is well-defined but none of the Table III chips use
-// them; rejecting keeps invariants simple).
+// them; rejecting keeps invariants simple). Twice the total weight must
+// be finite, which keeps every field, flip delta, energy and cut finite.
 func (g *Graph) Validate() error {
 	if g.N < 2 {
 		return fmt.Errorf("maxcut: graph needs >= 2 vertices, got %d", g.N)
 	}
+	var total float64
 	for _, e := range g.Edges {
+		total += e.W
 		if e.U < 0 || e.U >= g.N || e.V < 0 || e.V >= g.N {
 			return fmt.Errorf("maxcut: edge (%d,%d) out of range", e.U, e.V)
 		}
@@ -45,6 +49,9 @@ func (g *Graph) Validate() error {
 		if e.W < 0 {
 			return fmt.Errorf("maxcut: negative weight on (%d,%d)", e.U, e.V)
 		}
+	}
+	if math.IsInf(2*total, 0) || math.IsNaN(total) {
+		return fmt.Errorf("maxcut: total edge weight %g overflows (twice it must be finite)", total)
 	}
 	return nil
 }

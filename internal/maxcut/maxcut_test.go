@@ -15,6 +15,8 @@ func TestValidate(t *testing.T) {
 		{N: 3, Edges: []Edge{{0, 3, 1}}},
 		{N: 3, Edges: []Edge{{1, 1, 1}}},
 		{N: 3, Edges: []Edge{{0, 1, -1}}},
+		{N: 3, Edges: []Edge{{0, 1, 1.7e308}, {1, 2, 1.7e308}}}, // total overflows
+		{N: 2, Edges: []Edge{{0, 1, 1e308}}},                    // twice the total overflows
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
