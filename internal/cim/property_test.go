@@ -48,8 +48,7 @@ func TestPropertySwapDeltaAntisymmetry(t *testing.T) {
 		if i == j {
 			return true
 		}
-		scratch := make([]uint8, w.Rows())
-		return w.SwapDelta(in, i, j, scratch) == w.SwapDelta(in, j, i, scratch)
+		return w.SwapDelta(in, i, j) == w.SwapDelta(in, j, i)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -77,10 +76,9 @@ func TestPropertySwapDeltaInvertsUnderNoise(t *testing.T) {
 		if i == j {
 			return true
 		}
-		scratch := make([]uint8, w.Rows())
-		fwd := w.SwapDelta(in, i, j, scratch)
+		fwd := w.SwapDelta(in, i, j)
 		order[i], order[j] = order[j], order[i]
-		rev := w.SwapDelta(in, i, j, scratch)
+		rev := w.SwapDelta(in, i, j)
 		return fwd == -rev
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -374,10 +374,10 @@ type clusterState struct {
 	window *cim.Window
 	// order[slot] = child index within node.Children.
 	order []int
-	// scratch buffers reused across proposals. Only the worker updating
-	// this cluster touches them (same-phase clusters are non-adjacent,
-	// and a cluster belongs to exactly one phase).
-	rowsBuf []int
+	// spinBuf is the noisy-spins ablation's corrupted-order scratch,
+	// reused across proposals. Only the worker updating this cluster
+	// touches it (same-phase clusters are non-adjacent, and a cluster
+	// belongs to exactly one phase).
 	spinBuf []int
 }
 
@@ -398,7 +398,7 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 	state := &levelState{clusters: make([]*clusterState, nc)}
 	for ci, n := range nodes {
 		p := len(n.Children)
-		cs := &clusterState{node: n, order: make([]int, p), rowsBuf: make([]int, 0, p+2)}
+		cs := &clusterState{node: n, order: make([]int, p)}
 		if o.Mode == ModeNoisySpins {
 			cs.spinBuf = make([]int, 0, p)
 		}
@@ -710,20 +710,8 @@ func proposeSwap(state *levelState, ci, i, j int, o *Options, u float64, ep nois
 	if o.Mode == ModeNoisySpins {
 		in = corruptInputs(in, ep, ci, cs)
 	}
-	rows := cs.window.ActiveRows(in, cs.rowsBuf)
-	p := cs.window.P
-	// Row and column of spin (slot, elem) share the slot*p+elem layout.
-	col := func(slot, elem int) int { return slot*p + elem }
-	k, l := in.Order[i], in.Order[j]
-	// Four MACs (Fig. 5a): before-swap energies for (i,k) and (j,l)...
-	before := cs.window.ColumnSum(rows, col(i, k)) + cs.window.ColumnSum(rows, col(j, l))
-	// ...then after-swap energies for (i,l) and (j,k): the active rows of
-	// slots i and j exchange elements (ActiveRows lists slot rows in slot
-	// order, so rows[i] is slot i's row).
-	rows[i], rows[j] = col(i, l), col(j, k)
-	after := cs.window.ColumnSum(rows, col(i, l)) + cs.window.ColumnSum(rows, col(j, k))
-	rows[i], rows[j] = col(i, k), col(j, l)
-	delta := after - before
+	// The four MACs of Fig. 5a, memoised per slot pair within the epoch.
+	delta := cs.window.SwapDelta(in, i, j)
 	switch o.Mode {
 	case ModeNoisyCIM, ModeNoisySpins, ModeGreedy:
 		return delta < 0

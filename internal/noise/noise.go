@@ -78,9 +78,23 @@ func (e sramEpoch) ReadBit(cellID uint64, stored uint8) uint8 {
 	return stored
 }
 
-// ReadCode implements Epoch.
+// ReadCode implements Epoch. It is ReadBit over the nLSB low bit
+// planes, written out rather than through readCodeBits: a ReadBit
+// called through the helper's type-parameter dictionary is never
+// inlined, and this loop is most of a noisy epoch's pseudo-read cost.
+// A vulnerable cell reads its preferred bit, the cell hash's low bit.
 func (e sramEpoch) ReadCode(code uint8, baseCellID uint64, nLSB int) uint8 {
-	return readCodeBits(e, code, baseCellID, nLSB)
+	if nLSB > fixed.Bits {
+		nLSB = fixed.Bits
+	}
+	out := code
+	for b := 0; b < nLSB; b++ {
+		h := mix64((baseCellID + uint64(b)) ^ e.salt)
+		if float64(h>>11) < e.limit {
+			out = out&^(1<<b) | uint8(h&1)<<b
+		}
+	}
+	return out
 }
 
 // salt is the chip seed's contribution to every cell hash.
