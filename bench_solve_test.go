@@ -4,9 +4,10 @@
 //
 //	go test -bench BenchmarkSolveHotLoop -benchtime 3x .
 //
-// and regenerate the committed BENCH_solve.json snapshot with
+// and regenerate the committed BENCH_solve.json snapshot, on a machine
+// whose CPU count is at least GOMAXPROCS, with
 //
-//	CIMSA_EMIT_BENCH=1 go test -run TestEmitSolveBench .
+//	CIMSA_EMIT_BENCH=1 go test -run TestEmitSolveBench -count=1 -timeout 30m .
 //
 // The pooled and sequential modes produce byte-identical tours (pinned
 // by TestWorkerCountDeterminism in internal/clustered); only wall time
