@@ -11,10 +11,13 @@
 //
 //	result, err := cimsa.Solve(instance, cimsa.Options{PMax: 3})
 //
-// For finer control (custom noise schedules, ablation modes, PPA
-// technology constants) construct a core annealer via Options.Advanced
-// fields; the internal packages are reachable for code inside this
-// module (examples, cmd tools, benchmarks).
+// It runs the whole pipeline of one solve: the clustered noisy-CIM
+// anneal (internal/clustered) once per replica, best-of-replicas
+// selection, and the chip PPA estimate (internal/ppa) for the paper's
+// semi-flexible design point. Other design points (custom noise
+// schedules, clustering strategies, technology constants) are reached
+// through the internal packages directly, by code inside this module
+// (examples, cmd tools, experiments).
 package cimsa
 
 import (
@@ -26,8 +29,9 @@ import (
 	"os"
 
 	"cimsa/internal/checkpoint"
+	"cimsa/internal/cluster"
 	"cimsa/internal/clustered"
-	"cimsa/internal/core"
+	"cimsa/internal/heuristics"
 	"cimsa/internal/noise"
 	"cimsa/internal/ppa"
 	"cimsa/internal/tour"
@@ -51,7 +55,27 @@ type Tour = tour.Tour
 
 // Report is the full solve outcome: solution, quality vs the classical
 // reference solver, annealing statistics and the hardware PPA estimate.
-type Report = core.Report
+type Report struct {
+	// Instance and N identify the workload.
+	Instance string
+	N        int
+	// Tour and Length are the solution.
+	Tour   Tour
+	Length float64
+	// ReferenceLength is the classical reference tour length (0 when not
+	// computed); OptimalRatio = Length / ReferenceLength.
+	ReferenceLength float64
+	OptimalRatio    float64
+	// Solver carries the annealing statistics. Under Restarts > 1 every
+	// work counter is the sum over all replicas (the energy model sees
+	// the total work done), while Tour/Length come from the best one.
+	Solver clustered.Stats
+	// Chip carries the hardware PPA evaluation. It is the zero value
+	// when SkipHardware is set or when no level was annealed (an
+	// instance of at most cluster.TopThreshold cities is solved
+	// exactly, so no chip runs).
+	Chip ppa.ChipReport
+}
 
 // ChipReport is the hardware performance/power/area estimate.
 type ChipReport = ppa.ChipReport
@@ -153,32 +177,70 @@ type Checkpoint struct {
 // design point is rejected here with a field-specific error instead of
 // failing deep inside the solver stack.
 func (o Options) Validate() error {
-	if o.PMax != 0 && (o.PMax < 2 || o.PMax > 8) {
-		return fmt.Errorf("cimsa: PMax %d out of range 2..8 (0 defaults to 3)", o.PMax)
+	_, err := o.resolve()
+	return err
+}
+
+// run is one solve's Options, checked and resolved once into what
+// every replica and checkpoint shares.
+type run struct {
+	opt Options
+	// strategy is semi-flexible clustering with PMax, the policy the
+	// chip implements.
+	strategy cluster.Strategy
+	mode     clustered.Mode
+	restarts int // >= 1
+	// fabric is the configured substrate at FabricSeed. Replica fabric
+	// seeds derive from Seed and FabricSeed, both recorded in every
+	// checkpoint, so its kind, parameters and version pin the whole
+	// noise stream: a snapshot resumed under another fabric (or a
+	// re-seeded chip) is rejected instead of silently diverging.
+	fabric noise.Fabric
+	// sink, when non-nil, receives a snapshot at every write-back epoch
+	// of every replica, at every restart boundary (Solver == nil), and
+	// — with Solver.Flush set — when the context is cancelled. Its
+	// error aborts the solve.
+	sink func(*checkpoint.Snapshot) error
+	// resume continues from a snapshot the sink produced. It is
+	// verified against the instance and this run before any annealing.
+	resume *checkpoint.Snapshot
+}
+
+// resolve is Validate's single pass over the options; it also returns
+// the run they resolve to.
+func (o Options) resolve() (*run, error) {
+	r := &run{opt: o, strategy: cluster.Strategy{Kind: cluster.SemiFlex, P: 3}, restarts: max(o.Restarts, 1)}
+	if o.PMax != 0 {
+		if o.PMax < 2 || o.PMax > 8 {
+			return nil, fmt.Errorf("cimsa: PMax %d out of range 2..8 (0 defaults to 3)", o.PMax)
+		}
+		r.strategy.P = o.PMax
 	}
 	if o.Workers < 0 {
-		return fmt.Errorf("cimsa: negative Workers %d (0 picks the pool size automatically)", o.Workers)
+		return nil, fmt.Errorf("cimsa: negative Workers %d (0 picks the pool size automatically)", o.Workers)
 	}
 	if o.Restarts < 0 {
-		return fmt.Errorf("cimsa: negative Restarts %d", o.Restarts)
+		return nil, fmt.Errorf("cimsa: negative Restarts %d", o.Restarts)
 	}
 	if o.Mode != "" {
-		if _, err := clustered.ParseMode(o.Mode); err != nil {
-			return fmt.Errorf("cimsa: unknown Mode %q (noisy-cim | metropolis | greedy | noisy-spins)", o.Mode)
+		m, err := clustered.ParseMode(o.Mode)
+		if err != nil {
+			return nil, fmt.Errorf("cimsa: unknown Mode %q (noisy-cim | metropolis | greedy | noisy-spins)", o.Mode)
 		}
+		r.mode = m
 	}
-	if o.Fabric != "" {
-		if _, err := noise.New(o.Fabric, 0); err != nil {
-			return fmt.Errorf("cimsa: unknown Fabric %q (sram | mram | fefet | clean)", o.Fabric)
-		}
+	f, err := noise.New(o.Fabric, o.FabricSeed)
+	if err != nil {
+		return nil, fmt.Errorf("cimsa: unknown Fabric %q (sram | mram | fefet | clean)", o.Fabric)
 	}
+	r.fabric = f
 	if o.Checkpoint.EveryEpochs < 0 {
-		return fmt.Errorf("cimsa: negative Checkpoint.EveryEpochs %d", o.Checkpoint.EveryEpochs)
+		return nil, fmt.Errorf("cimsa: negative Checkpoint.EveryEpochs %d", o.Checkpoint.EveryEpochs)
 	}
 	if o.Checkpoint.Dir == "" && (o.Checkpoint.Resume || o.Checkpoint.EveryEpochs > 0) {
-		return fmt.Errorf("cimsa: Checkpoint requires Dir to be set")
+		return nil, fmt.Errorf("cimsa: Checkpoint requires Dir to be set")
 	}
-	return nil
+	return r, nil
 }
 
 // Solve runs the clustered noisy-CIM annealer on the instance.
@@ -190,29 +252,12 @@ func Solve(in *Instance, opt Options) (*Report, error) {
 // chromatic phases and at write-back epochs, so even 100k-city solves
 // abort promptly. A run whose context is never cancelled is
 // bit-identical to Solve with the same options — the plumbing consumes
-// no randomness.
+// no randomness. The classical reference solver (Options.Reference)
+// runs after the anneal and is not interruptible.
 func SolveContext(ctx context.Context, in *Instance, opt Options) (rep *Report, err error) {
-	if err := opt.Validate(); err != nil {
+	r, err := opt.resolve()
+	if err != nil {
 		return nil, err
-	}
-	mode := clustered.ModeNoisyCIM
-	if opt.Mode != "" {
-		m, err := clustered.ParseMode(opt.Mode)
-		if err != nil {
-			return nil, err
-		}
-		mode = m
-	}
-	cfg := core.Config{
-		PMax:               opt.PMax,
-		Seed:               opt.Seed,
-		Mode:               mode,
-		Fabric:             opt.Fabric,
-		FabricSeed:         opt.FabricSeed,
-		SkipHardwareReport: opt.SkipHardware,
-		Workers:            opt.Workers,
-		Restarts:           opt.Restarts,
-		Progress:           opt.Progress,
 	}
 	if ck := opt.Checkpoint; ck.Dir != "" {
 		if err := os.MkdirAll(ck.Dir, 0o755); err != nil {
@@ -223,7 +268,7 @@ func SolveContext(ctx context.Context, in *Instance, opt Options) (rep *Report, 
 			snap, err := checkpoint.Load(path)
 			switch {
 			case err == nil:
-				cfg.Resume = snap
+				r.resume = snap
 				if ck.OnResume != nil {
 					ck.OnResume(path)
 				}
@@ -233,10 +278,7 @@ func SolveContext(ctx context.Context, in *Instance, opt Options) (rep *Report, 
 				return nil, err
 			}
 		}
-		every := ck.EveryEpochs
-		if every < 1 {
-			every = 1
-		}
+		every := max(ck.EveryEpochs, 1)
 		epochs := 0
 		w := checkpoint.NewWriter(path, ck.OnWrite)
 		// Close on every return path: the job's owner may delete Dir as
@@ -246,7 +288,7 @@ func SolveContext(ctx context.Context, in *Instance, opt Options) (rep *Report, 
 				rep, err = nil, cerr
 			}
 		}()
-		cfg.Checkpoint = func(s *checkpoint.Snapshot) error {
+		r.sink = func(s *checkpoint.Snapshot) error {
 			// Epoch snapshots honour the cadence and are handed off
 			// without waiting; restart boundaries and cancellation
 			// flushes always hit disk before the solve moves on — they
@@ -262,14 +304,165 @@ func SolveContext(ctx context.Context, in *Instance, opt Options) (rep *Report, 
 			return w.Put(s, wait)
 		}
 	}
-	a, err := core.New(cfg)
-	if err != nil {
+	rep, err = r.solve(ctx, in)
+	if err != nil || !opt.Reference {
+		return rep, err
+	}
+	_, ref := heuristics.Reference(in)
+	rep.ReferenceLength = ref
+	if ref > 0 {
+		rep.OptimalRatio = rep.Length / ref
+	}
+	return rep, nil
+}
+
+// expect is the configuration fingerprint a resumed snapshot must carry.
+func (r *run) expect() checkpoint.Expect {
+	return checkpoint.Expect{
+		Seed:          r.opt.Seed,
+		Mode:          r.mode.String(),
+		Restarts:      r.restarts,
+		Strategy:      r.strategy,
+		Schedule:      noise.PaperSchedule(),
+		FabricKind:    r.fabric.Kind(),
+		FabricParams:  r.fabric.Params(),
+		FabricVersion: r.fabric.Version(),
+	}
+}
+
+// snapshot assembles the durable checkpoint for the given replica
+// index: the run identity, the best tour so far, the completed
+// replicas' aggregated stats, and (mid-replica) the solver state.
+func (r *run) snapshot(in *Instance, hash uint64, replica int, best *clustered.Result, agg *clustered.Stats, solver *clustered.Snapshot) *checkpoint.Snapshot {
+	e := r.expect()
+	s := &checkpoint.Snapshot{
+		Instance:      in.Name,
+		N:             in.N(),
+		InstanceHash:  hash,
+		Seed:          e.Seed,
+		Mode:          e.Mode,
+		Restarts:      e.Restarts,
+		Strategy:      e.Strategy,
+		Schedule:      e.Schedule,
+		FabricKind:    e.FabricKind,
+		FabricParams:  e.FabricParams,
+		FabricVersion: e.FabricVersion,
+		RNG:           checkpoint.Fingerprint(e.Seed),
+		Restart:       replica,
+		BestLength:    best.Length,
+		AggStats:      *agg,
+		Solver:        solver,
+	}
+	if len(best.Tour) > 0 {
+		s.BestTour = append([]int(nil), best.Tour...)
+	}
+	return s
+}
+
+// solve runs the replicas — replica k anneals with seed Seed+k on its
+// own chip, the software analogue of multi-replica annealer chips —
+// keeps the shortest tour, sums every replica's work counters, and
+// estimates the chip that ran one replica's schedule.
+func (r *run) solve(ctx context.Context, in *Instance) (*Report, error) {
+	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Reference {
-		return a.SolveWithReferenceContext(ctx, in)
+	var hash uint64
+	if r.sink != nil || r.resume != nil {
+		hash = checkpoint.InstanceHash(in)
 	}
-	return a.SolveContext(ctx, in)
+	var best clustered.Result
+	var agg clustered.Stats
+	start := 0
+	var resumeSolver *clustered.Snapshot
+	if s := r.resume; s != nil {
+		if err := s.Verify(in, r.expect()); err != nil {
+			return nil, err
+		}
+		start, agg, resumeSolver = s.Restart, s.AggStats, s.Solver
+		if len(s.BestTour) > 0 {
+			best = clustered.Result{Tour: append(Tour(nil), s.BestTour...), Length: s.BestLength}
+		}
+	}
+	levels := 0
+	for replica := start; replica < r.restarts; replica++ {
+		seed := r.opt.Seed + uint64(replica)
+		// Each replica is a distinct chip: new fabric, new errors. With
+		// FabricSeed unset, replica 0's chip is the one clustered would
+		// derive from Seed, so results predating fabric selection hold.
+		fabricSeed := seed ^ 0xfab
+		if r.opt.FabricSeed != 0 {
+			fabricSeed = r.opt.FabricSeed + uint64(replica)
+		}
+		fabric, err := noise.New(r.fabric.Kind(), fabricSeed)
+		if err != nil {
+			return nil, err
+		}
+		opts := clustered.Options{
+			Strategy: r.strategy,
+			Schedule: noise.PaperSchedule(),
+			Fabric:   fabric,
+			Mode:     r.mode,
+			Seed:     seed,
+			Workers:  r.opt.Workers,
+		}
+		if replica == start {
+			// Mid-replica solver state applies only to the replica the
+			// snapshot was taken in; later replicas start from scratch.
+			opts.Resume = resumeSolver
+		}
+		if progress := r.opt.Progress; progress != nil {
+			opts.Progress = func(ev clustered.ProgressEvent) {
+				ev.Restart = replica
+				progress(ev)
+			}
+		}
+		if r.sink != nil {
+			opts.Checkpoint = func(cs *clustered.Snapshot) error {
+				return r.sink(r.snapshot(in, hash, replica, &best, &agg, cs))
+			}
+		}
+		cur, err := clustered.SolveContext(ctx, in, opts)
+		if err != nil {
+			return nil, err
+		}
+		// Every replica must hand back a Hamiltonian cycle. A broken
+		// permutation here means solver state corruption, and silently
+		// comparing its Length against honest replicas could crown it
+		// the winner — fail loudly instead.
+		if err := cur.Tour.Validate(in.N()); err != nil {
+			return nil, fmt.Errorf("cimsa: replica %d returned an invalid tour: %w", replica, err)
+		}
+		// Work accumulates symmetrically across every replica — win or
+		// lose — so the energy/PPA inputs count all the work done, not
+		// just the winner's share.
+		agg.Add(cur.Stats)
+		// The chip runs one replica's schedule: the per-run level count
+		// is identical across replicas, and a resumed replica's restored
+		// stats include its earlier levels.
+		levels = cur.Stats.Levels
+		if len(best.Tour) == 0 || cur.Length < best.Length {
+			best = cur
+		}
+		if r.sink != nil && replica+1 < r.restarts {
+			// Restart boundary: persist the inter-replica state so a kill
+			// here resumes straight into replica+1.
+			if err := r.sink(r.snapshot(in, hash, replica+1, &best, &agg, nil)); err != nil {
+				return nil, fmt.Errorf("cimsa: checkpoint hook: %w", err)
+			}
+		}
+	}
+	rep := &Report{Instance: in.Name, N: in.N(), Tour: best.Tour, Length: best.Length, Solver: agg}
+	if !r.opt.SkipHardware && levels > 0 {
+		sched := noise.PaperSchedule()
+		prof := ppa.RunProfile{Levels: levels, IterationsPerLevel: sched.TotalIters(), EpochIters: sched.EpochIters}
+		chip, err := ppa.Chip(in.N(), r.strategy.P, prof, ppa.Tech16nm())
+		if err != nil {
+			return nil, fmt.Errorf("cimsa: hardware report: %w", err)
+		}
+		rep.Chip = chip
+	}
+	return rep, nil
 }
 
 // SolveName solves a built-in registry instance (e.g. "pcb3038",

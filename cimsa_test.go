@@ -2,6 +2,7 @@ package cimsa_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -17,10 +18,13 @@ func TestFacadeSolve(t *testing.T) {
 	if err := rep.Tour.Validate(in.N()); err != nil {
 		t.Fatal(err)
 	}
-	if rep.OptimalRatio <= 0 {
-		t.Fatal("reference ratio missing")
+	if rep.Instance != "facade" || rep.N != 200 {
+		t.Fatalf("report identity wrong: %s/%d", rep.Instance, rep.N)
 	}
-	if rep.Chip.AreaMM2 <= 0 {
+	if rep.ReferenceLength <= 0 || rep.OptimalRatio < 1 || rep.OptimalRatio > 2 {
+		t.Fatalf("reference %v, optimal ratio %v implausible", rep.ReferenceLength, rep.OptimalRatio)
+	}
+	if rep.Chip.AreaMM2 <= 0 || rep.Chip.PowerMW <= 0 || rep.Chip.LatencySeconds <= 0 {
 		t.Fatal("hardware report missing")
 	}
 }
@@ -87,6 +91,33 @@ func TestFacadeRejectsBadOptions(t *testing.T) {
 	in := cimsa.GenerateInstance("facade-bad", 50, 5)
 	if _, err := cimsa.Solve(in, cimsa.Options{PMax: 1}); err == nil {
 		t.Fatal("PMax=1 accepted")
+	}
+}
+
+// TestSolveRejectsInvalidInstance: an empty instance, and one whose
+// coordinates are not finite or span so far that a tour length
+// overflows, fail the solve with an error instead of panicking inside
+// the clustering or the exact top-level solver. A large but safe
+// extent still solves to a valid tour.
+func TestSolveRejectsInvalidInstance(t *testing.T) {
+	if _, err := cimsa.Solve(&cimsa.Instance{Name: "bad"}, cimsa.Options{}); err == nil {
+		t.Fatal("empty instance accepted")
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308, -1e308} {
+		in := cimsa.GenerateInstance("far", 40, 1)
+		in.Cities[7].X = x
+		if _, err := cimsa.Solve(in, cimsa.Options{Seed: 1}); err == nil {
+			t.Fatalf("city at x=%v accepted", x)
+		}
+	}
+	in := cimsa.GenerateInstance("far", 40, 1)
+	in.Cities[7].X = 1e200
+	rep, err := cimsa.Solve(in, cimsa.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Tour.Validate(in.N()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -139,7 +139,7 @@ type Options struct {
 // weight windows — plus a final event per level with Iter == Iters.
 type ProgressEvent struct {
 	// Restart is the replica index for multi-restart solves (filled by
-	// package core; always 0 for a direct clustered.Solve).
+	// the cimsa facade; always 0 for a direct clustered.Solve).
 	Restart int `json:"restart"`
 	// Level is the annealed level index, 0 = the first (topmost)
 	// annealed level; Levels is the total annealed level count.

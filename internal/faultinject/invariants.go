@@ -52,7 +52,7 @@ func (l *opLog) conservePartition(label string, names []string, slice func(strin
 // sameResult compares two results through a canonicalizing JSON
 // round-trip: typed structs and wire-decoded maps land in the same
 // shape, and float64 survives JSON exactly, so DeepEqual means the
-// numbers match to the last bit. Neither core.Report nor
+// numbers match to the last bit. Neither cimsa.Report nor
 // problem.Result carries timing, so whole results compare.
 func sameResult(t *testing.T, got, want any) bool {
 	t.Helper()

@@ -63,6 +63,7 @@ func FuzzSubmitDecode(f *testing.F) {
 		`{"problem":"tsp","tsp":{"generate":{"n":50,"seed":1},"options":{"fabric":{"kind":"clean","seed":-1}}}}`,
 	}
 	seeds = append(seeds, overflowBodies...)
+	seeds = append(seeds, nonFiniteTSPBodies...)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}

@@ -441,6 +441,82 @@ func TestTinyTSPJobSolvesOnJournaledServer(t *testing.T) {
 	}
 }
 
+// farCityTSPBody is a 40-city EUC_2D tsplib submit body whose eighth
+// city sits at x.
+func farCityTSPBody(x string) string {
+	var b strings.Builder
+	b.WriteString("NAME : far\nTYPE : TSP\nDIMENSION : 40\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n")
+	for i := 1; i <= 40; i++ {
+		cx := fmt.Sprint(i % 8 * 10)
+		if i == 8 {
+			cx = x
+		}
+		fmt.Fprintf(&b, "%d %s %d\n", i, cx, i/8*10)
+	}
+	b.WriteString("EOF\n")
+	body, err := json.Marshal(map[string]any{"tsp": map[string]any{"tsplib": b.String(), "options": map[string]any{"seed": 1}}})
+	if err != nil {
+		panic(err)
+	}
+	return string(body)
+}
+
+// nonFiniteTSPBodies place one city where a tour length overflows
+// float64. Solving them used to panic the solve goroutine, and with it
+// the server — again on every boot that replayed the journaled job.
+var nonFiniteTSPBodies = []string{
+	farCityTSPBody("1e308"), farCityTSPBody("-1e308"),
+	farCityTSPBody("+Inf"), farCityTSPBody("-Inf"),
+}
+
+// TestNonFiniteTSPJobRejectedOnJournaledServer: on a journaled server a
+// tsp job whose coordinates overflow a tour is a 400 at submit, a
+// journal record of one left by an older server is dropped at recovery
+// instead of solved, and a large but finite extent still solves.
+func TestNonFiniteTSPJobRejectedOnJournaledServer(t *testing.T) {
+	stateDir := t.TempDir()
+	j, _ := openTestJournal(t, filepath.Join(stateDir, "journal.jsonl"))
+	if err := j.Submitted("j0001-far000", "default", time.Unix(7000, 0), "tsp", json.RawMessage(nonFiniteTSPBodies[0])); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	srv, _, entries := bootServer(t, stateDir)
+	if got := srv.Recover(entries); got != 0 {
+		t.Fatalf("Recover re-enqueued %d non-finite jobs", got)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, body := range nonFiniteTSPBodies {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("non-finite submit = %d, want 400", resp.StatusCode)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(farCityTSPBody("1e200")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := decodeJSON[Status](t, resp)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("1e200 submit = %d", resp.StatusCode)
+	}
+	if final := pollState(t, ts.URL, st.ID, StateDone, 30*time.Second); final.N != 40 {
+		t.Fatalf("final status %+v", final)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz = %d", resp.StatusCode)
+	}
+}
+
 // TestSubmitJournalsThroughHTTP: the HTTP submit path persists the
 // request body, and the new checkpoint metrics appear on /metrics.
 func TestSubmitJournalsThroughHTTP(t *testing.T) {

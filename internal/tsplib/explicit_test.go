@@ -205,13 +205,18 @@ func TestExplicitInstanceEmbeddingUseful(t *testing.T) {
 }
 
 func TestExplicitValidateCatchesCorruption(t *testing.T) {
-	in, err := Parse(strings.NewReader(explicitFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Explicit[1][2] = 999 // break symmetry after the fact
-	if err := in.Validate(); err == nil {
-		t.Fatal("asymmetric matrix passed validation")
+	for name, corrupt := range map[string]func(m [][]float64){
+		"asymmetric":     func(m [][]float64) { m[1][2] = 999 },
+		"infinite entry": func(m [][]float64) { m[1][2], m[2][1] = math.Inf(1), math.Inf(1) },
+	} {
+		in, err := Parse(strings.NewReader(explicitFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(in.Explicit) // after the fact, past the parser's checks
+		if err := in.Validate(); err == nil {
+			t.Fatalf("%s matrix passed validation", name)
+		}
 	}
 }
 

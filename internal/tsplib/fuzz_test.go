@@ -22,6 +22,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("TYPE : TSP\nDIMENSION : 2\nNODE_COORD_SECTION\n1 0 0\n2 1 0\n3 0 1\nEOF\n")
 	f.Add("TYPE : TSP\nNODE_COORD_SECTION\n0 0 0\n1 1 0\n2 0 1\nEOF\n")
 	f.Add("TYPE : TSP\nDIMENSION : 99999\nEDGE_WEIGHT_TYPE : EXPLICIT\nEDGE_WEIGHT_FORMAT : FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1 1 0\nEOF\n")
+	// Coordinates at or past float64's range: a tour over them
+	// overflows, so Validate (run by Parse) must refuse them.
+	for _, x := range []string{"1e308", "-1e308", "+Inf", "-Inf"} {
+		f.Add("NAME : big\nTYPE : TSP\nDIMENSION : 4\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 " + x + " 0\n3 0 1\n4 1 1\nEOF\n")
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		in, err := Parse(strings.NewReader(src))
 		if err != nil {

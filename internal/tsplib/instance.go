@@ -7,6 +7,7 @@ package tsplib
 
 import (
 	"fmt"
+	"math"
 
 	"cimsa/internal/geom"
 )
@@ -41,8 +42,14 @@ func (in *Instance) Dist(i, j int) float64 {
 	return in.Metric.Dist(in.Cities[i], in.Cities[j])
 }
 
-// Validate checks structural invariants: a non-empty name, at least three
-// cities, and finite coordinates.
+// Validate checks structural invariants: a non-empty name, at least
+// three cities, a known metric, finite coordinates, for explicit
+// matrices a square, symmetric, finite and non-negative matrix with a
+// zero diagonal, and that no tour length overflows. For the last, N
+// edges as long as the longest possible one must sum to a finite
+// length; the longest edge is taken as the largest of the bounding
+// box's diagonal, that diagonal under the metric, and any explicit
+// distance.
 func (in *Instance) Validate() error {
 	if in.Name == "" {
 		return fmt.Errorf("tsplib: instance has no name")
@@ -50,11 +57,18 @@ func (in *Instance) Validate() error {
 	if len(in.Cities) < 3 {
 		return fmt.Errorf("tsplib: instance %s has %d cities, need >= 3", in.Name, len(in.Cities))
 	}
-	for i, c := range in.Cities {
-		if c.X != c.X || c.Y != c.Y { // NaN check without importing math
-			return fmt.Errorf("tsplib: instance %s city %d has NaN coordinate", in.Name, i)
-		}
+	if in.Metric < geom.Euclid2D || in.Metric > geom.Exact {
+		return fmt.Errorf("tsplib: instance %s has unknown metric %v", in.Name, in.Metric)
 	}
+	lo, hi := in.Cities[0], in.Cities[0]
+	for i, c := range in.Cities {
+		if math.IsNaN(c.X) || math.IsNaN(c.Y) || math.IsInf(c.X, 0) || math.IsInf(c.Y, 0) {
+			return fmt.Errorf("tsplib: instance %s city %d has non-finite coordinate (%v, %v)", in.Name, i, c.X, c.Y)
+		}
+		lo.X, lo.Y = min(lo.X, c.X), min(lo.Y, c.Y)
+		hi.X, hi.Y = max(hi.X, c.X), max(hi.Y, c.Y)
+	}
+	longest := max(math.Hypot(hi.X-lo.X, hi.Y-lo.Y), in.Metric.Dist(lo, hi))
 	if in.Explicit != nil {
 		if len(in.Explicit) != len(in.Cities) {
 			return fmt.Errorf("tsplib: explicit matrix is %d rows for %d cities", len(in.Explicit), len(in.Cities))
@@ -64,17 +78,23 @@ func (in *Instance) Validate() error {
 				return fmt.Errorf("tsplib: explicit matrix row %d has %d entries", i, len(row))
 			}
 			for j, v := range row {
-				if v < 0 || v != v {
+				if v < 0 || math.IsNaN(v) || math.IsInf(v, 1) {
 					return fmt.Errorf("tsplib: explicit distance (%d,%d) = %v", i, j, v)
 				}
 				if in.Explicit[j][i] != v {
 					return fmt.Errorf("tsplib: explicit matrix asymmetric at (%d,%d)", i, j)
 				}
+				longest = max(longest, v)
 			}
 			if row[i] != 0 {
 				return fmt.Errorf("tsplib: explicit diagonal (%d,%d) nonzero", i, i)
 			}
 		}
+	}
+	// The negated comparison also refuses a NaN, which an overflowing
+	// GEO conversion produces.
+	if !(longest*float64(len(in.Cities)) <= math.MaxFloat64) {
+		return fmt.Errorf("tsplib: instance %s: %d edges up to %g long overflow a tour length", in.Name, len(in.Cities), longest)
 	}
 	return nil
 }

@@ -98,6 +98,41 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFiniteCoordinates: NaN or ±Inf coordinates,
+// and an extent whose N-edge tour would overflow, are refused; a large
+// but safe extent is not.
+func TestValidateRejectsNonFiniteCoordinates(t *testing.T) {
+	for _, c := range []struct {
+		x, y float64
+		ok   bool
+	}{
+		{math.NaN(), 0, false},
+		{0, math.Inf(1), false},
+		{math.Inf(-1), 0, false},
+		{1e308, 0, false},
+		{-1e308, 0, false},
+		{1e200, 0, true},
+	} {
+		in := Generate("finite", 40, StyleUniform, 1)
+		in.Cities[7].X, in.Cities[7].Y = c.x, c.y
+		if err := in.Validate(); (err == nil) != c.ok {
+			t.Errorf("city at (%v, %v): Validate = %v, want ok=%v", c.x, c.y, err, c.ok)
+		}
+	}
+	// ATT squares the coordinate difference, so it overflows long before
+	// the Euclidean diagonal does.
+	in := Generate("att", 40, StyleUniform, 1)
+	in.Metric = geom.Att
+	in.Cities[7].X = 1e200
+	if err := in.Validate(); err == nil {
+		t.Error("ATT instance with an infinite edge accepted")
+	}
+	in.Metric = geom.Exact + 1
+	if err := in.Validate(); err == nil {
+		t.Error("unknown metric accepted")
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	for _, style := range []Style{StyleUniform, StylePCB, StyleClustered, StyleGeographic, StylePLA} {
 		a := Generate("det", 200, style, 5)

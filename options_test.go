@@ -11,7 +11,7 @@ import (
 
 // Every invalid design point is rejected at the facade through the one
 // Validate error path, with an error naming the offending field,
-// instead of failing deep inside core/clustered.
+// instead of failing deep inside the solver.
 func TestOptionsValidateRejections(t *testing.T) {
 	cases := []struct {
 		name string
