@@ -144,27 +144,28 @@ func TestFailoverBitIdentity(t *testing.T) {
 
 	// Kill A on the first progress event after at least one checkpoint
 	// has landed on the coordinator — guaranteed mid-anneal, guaranteed
-	// partial state to fail over with.
-	var mu sync.Mutex
-	ships := 0
+	// partial state to fail over with. Every progress event follows an
+	// epoch snapshot already handed to the background writer, so the
+	// hook waits for that first ship instead of racing it: a 200-city
+	// solve can otherwise finish before its first write lands.
+	shipped := make(chan struct{})
+	var shipOnce sync.Once
 	killed := make(chan struct{})
 	var killOnce sync.Once
 	run := problem.Run{
 		Progress: func(problem.Progress) {
-			mu.Lock()
-			shipped := ships
-			mu.Unlock()
-			if shipped > 0 {
-				killOnce.Do(func() {
-					wa.Kill()
-					close(killed)
-				})
+			select {
+			case <-shipped:
+			case <-time.After(10 * time.Second):
+				return
 			}
+			killOnce.Do(func() {
+				wa.Kill()
+				close(killed)
+			})
 		},
 		OnCheckpointWrite: func(string) {
-			mu.Lock()
-			ships++
-			mu.Unlock()
+			shipOnce.Do(func() { close(shipped) })
 		},
 	}
 
