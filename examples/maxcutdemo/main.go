@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"cimsa/internal/anneal"
-	"cimsa/internal/bifurcation"
 	"cimsa/internal/maxcut"
 	"cimsa/internal/ppa"
 	"cimsa/internal/serve"
@@ -34,11 +33,10 @@ func main() {
 	fmt.Printf("netlist: %d cells, %d nets, total net weight %.0f\n",
 		g.N, len(g.Edges), g.TotalWeight())
 
-	// Three algorithm families from the paper's Table III competitors,
-	// all running on the same Ising substrate:
+	// Two algorithm families from the paper's Table III competitors,
+	// both running on the same Ising substrate:
 	//   - sequential Metropolis annealing (the classical reference)
 	//   - stochastic cellular automata (STATICA's all-spins-at-once rule)
-	//   - ballistic simulated bifurcation (the quantum-inspired family)
 	res, err := maxcut.Solve(g, 400, 1)
 	if err != nil {
 		log.Fatal(err)
@@ -51,10 +49,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bsb, err := bifurcation.SolveIsing(m, bifurcation.Options{Steps: 400, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("%-34s %10s %10s\n", "algorithm", "cut", "of total")
 	for _, row := range []struct {
 		name string
@@ -62,7 +56,6 @@ func main() {
 	}{
 		{"Metropolis annealing", res.Cut},
 		{"stochastic cellular automata", g.CutValue(sca.Spins)},
-		{"ballistic simulated bifurcation", g.CutValue(bsb.Spins)},
 	} {
 		fmt.Printf("%-34s %10.0f %9.1f%%\n", row.name, row.cut, 100*row.cut/g.TotalWeight())
 	}

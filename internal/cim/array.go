@@ -13,34 +13,6 @@ const (
 	WindowsPerArray    = WindowRowsPerArray * WindowColsPerArray
 )
 
-// Phase is the chromatic update phase (§III.A): non-adjacent clusters
-// are independent, so all odd-indexed clusters update in one cycle and
-// all even-indexed clusters in the next.
-type Phase int
-
-const (
-	// PhaseSolid updates odd-indexed clusters (solid windows in Fig. 3).
-	PhaseSolid Phase = iota
-	// PhaseDash updates even-indexed clusters (dash windows).
-	PhaseDash
-)
-
-// String names the phase.
-func (p Phase) String() string {
-	if p == PhaseSolid {
-		return "solid"
-	}
-	return "dash"
-}
-
-// PhaseOf returns the update phase of a cluster index.
-func PhaseOf(cluster int) Phase {
-	if cluster%2 == 1 {
-		return PhaseSolid
-	}
-	return PhaseDash
-}
-
 // ArrayOf returns which array a cluster's window lives in.
 func ArrayOf(cluster int) int { return cluster / WindowsPerArray }
 

@@ -338,15 +338,6 @@ func TestSingletonWindow(t *testing.T) {
 	}
 }
 
-func TestPhaseAssignment(t *testing.T) {
-	if PhaseOf(1) != PhaseSolid || PhaseOf(3) != PhaseSolid {
-		t.Fatal("odd clusters must be solid")
-	}
-	if PhaseOf(0) != PhaseDash || PhaseOf(2) != PhaseDash {
-		t.Fatal("even clusters must be dash")
-	}
-}
-
 func TestArrayMapping(t *testing.T) {
 	if ArrayOf(0) != 0 || ArrayOf(9) != 0 || ArrayOf(10) != 1 {
 		t.Fatal("cluster-to-array mapping wrong")
@@ -512,10 +503,7 @@ func TestMaskWeights(t *testing.T) {
 	}
 }
 
-func TestPhaseStringAndWeights(t *testing.T) {
-	if PhaseSolid.String() != "solid" || PhaseDash.String() != "dash" {
-		t.Fatal("phase names wrong")
-	}
+func TestWeightsPerArray(t *testing.T) {
 	g, err := GeometryFor(3)
 	if err != nil {
 		t.Fatal(err)

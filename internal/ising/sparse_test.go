@@ -287,52 +287,3 @@ func TestSparseEnginesMatchDenseRuns(t *testing.T) {
 		})
 	}
 }
-
-// TestHopfieldMatchesDenseReference runs asynchronous and synchronous
-// Hopfield dynamics against a dense-row threshold update.
-func TestHopfieldMatchesDenseReference(t *testing.T) {
-	step := func(m *ising.Model, state []int8, i int) {
-		switch f := m.LocalField(state, i); {
-		case f > 0:
-			state[i] = 1
-		case f < 0:
-			state[i] = -1
-		}
-	}
-	for name, m := range differentialModels(t) {
-		t.Run(name, func(t *testing.T) {
-			h, err := ising.NewHopfield(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for seed := uint64(1); seed <= 4; seed++ {
-				got := anneal.RandomSpins(m.N, seed)
-				want := append([]int8(nil), got...)
-				h.RunAsync(got, 5)
-				for sweep := 0; sweep < 5; sweep++ {
-					for i := 0; i < m.N; i++ {
-						step(m, want, i)
-					}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: async state %v, dense %v", seed, got, want)
-				}
-				h.StepSync(got)
-				fields := make([]float64, m.N)
-				for i := range fields {
-					fields[i] = m.LocalField(want, i)
-				}
-				for i, f := range fields {
-					if f > 0 {
-						want[i] = 1
-					} else if f < 0 {
-						want[i] = -1
-					}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: sync state %v, dense %v", seed, got, want)
-				}
-			}
-		})
-	}
-}

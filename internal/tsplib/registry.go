@@ -89,9 +89,3 @@ func Names() []string {
 	}
 	return names
 }
-
-// EvaluationSet returns the names the paper sweeps in Fig. 7 (3038 to
-// 33810 cities).
-func EvaluationSet() []string {
-	return []string{"pcb3038", "rl5915", "rl5934", "rl11849", "usa13509", "d15112", "d18512", "pla33810"}
-}

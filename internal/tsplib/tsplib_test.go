@@ -297,14 +297,6 @@ func TestNamesSorted(t *testing.T) {
 	}
 }
 
-func TestEvaluationSetInRegistry(t *testing.T) {
-	for _, name := range EvaluationSet() {
-		if _, err := Lookup(name); err != nil {
-			t.Errorf("evaluation instance %s missing from registry", name)
-		}
-	}
-}
-
 func TestDistanceMatrix(t *testing.T) {
 	in, err := Parse(strings.NewReader(sampleTSP))
 	if err != nil {
