@@ -1,7 +1,9 @@
 package cimsa_test
 
 import (
+	"fmt"
 	"hash/fnv"
+	"sync/atomic"
 	"testing"
 
 	"cimsa"
@@ -69,25 +71,43 @@ func goldenCases() []goldenCase {
 
 // TestGoldenDefaultFabricBitIdentity solves each pinned case at several
 // worker counts and compares the result bit-for-bit against values
-// captured on the pre-refactor tree.
+// captured on the pre-refactor tree. One more sequential run attaches a
+// progress hook and a checkpoint writer: hooks only observe, so the
+// golden holds with them too.
 func TestGoldenDefaultFabricBitIdentity(t *testing.T) {
 	for _, tc := range goldenCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			in := cimsa.GenerateInstance(tc.name, tc.n, tc.genSeed)
+			var events, writes atomic.Int64
+			hooked := tc.opts
+			hooked.Workers = 1
+			hooked.Progress = func(cimsa.ProgressEvent) { events.Add(1) }
+			hooked.Checkpoint = cimsa.Checkpoint{Dir: t.TempDir(), OnWrite: func(string) { writes.Add(1) }}
+			type config struct {
+				name string
+				opts cimsa.Options
+			}
+			configs := []config{{"hooks", hooked}}
 			for _, workers := range []int{1, 2, 4, cimsa.WorkersAuto} {
 				opts := tc.opts
 				opts.Workers = workers
-				rep, err := cimsa.Solve(in, opts)
+				configs = append(configs, config{fmt.Sprintf("workers=%d", workers), opts})
+			}
+			for _, c := range configs {
+				rep, err := cimsa.Solve(in, c.opts)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("%s: %v", c.name, err)
 				}
 				gotHash := tourFingerprint(rep.Tour)
 				if gotHash != tc.wantHash || rep.Length != tc.wantLen {
-					t.Errorf("workers=%d: got (hash %#x, len %v), golden (hash %#x, len %v)",
-						workers, gotHash, rep.Length, tc.wantHash, tc.wantLen)
+					t.Errorf("%s: got (hash %#x, len %v), golden (hash %#x, len %v)",
+						c.name, gotHash, rep.Length, tc.wantHash, tc.wantLen)
 				}
+			}
+			if events.Load() == 0 || writes.Load() == 0 {
+				t.Errorf("hooks did not fire: %d progress events, %d checkpoint writes", events.Load(), writes.Load())
 			}
 		})
 	}
