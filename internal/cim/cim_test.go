@@ -77,7 +77,7 @@ func TestSumColumnPanicsOnMismatch(t *testing.T) {
 }
 
 // makeTestWindow builds a 3-element window with distinct distances.
-func makeTestWindow(t *testing.T) *Window {
+func makeTestWindow(t *testing.T) testWindow {
 	t.Helper()
 	intra := [][]float64{
 		{0, 10, 20},
@@ -86,7 +86,7 @@ func makeTestWindow(t *testing.T) *Window {
 	}
 	fromPrev := [][]float64{{5, 15, 25}, {7, 17, 27}}
 	toNext := [][]float64{{6, 16, 26}, {8, 18, 28}, {9, 19, 29}}
-	w, err := NewWindow(3, intra, fromPrev, toNext)
+	w, err := newTestWindow(3, intra, fromPrev, toNext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestWindowSwapDeltaMatchesManualMACs(t *testing.T) {
 			swapped := Inputs{Order: append([]int(nil), in.Order...), PrevElem: 0, NextElem: 2}
 			swapped.Order[i], swapped.Order[j] = l, k
 			after := w.LocalEnergy(swapped, i, l, scratch) + w.LocalEnergy(swapped, j, k, scratch)
-			if got := w.SwapDelta(in, i, j); got != after-before {
+			if got := w.swap(in, i, j); got != after-before {
 				t.Fatalf("swap (%d,%d): SwapDelta %d, manual %d", i, j, got, after-before)
 			}
 			// SwapDelta must not mutate the order.
@@ -266,11 +266,11 @@ func TestWriteBackDeterministicPattern(t *testing.T) {
 func TestNoiseDiffersAcrossWindows(t *testing.T) {
 	// Windows at different chip locations see different cells.
 	intra := [][]float64{{0, 100}, {100, 0}}
-	wa, err := NewWindow(0, intra, nil, nil)
+	wa, err := newTestWindow(0, intra, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := NewWindow(1, intra, nil, nil)
+	wb, err := newTestWindow(1, intra, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,16 +291,16 @@ func TestNoiseDiffersAcrossWindows(t *testing.T) {
 }
 
 func TestNewWindowErrors(t *testing.T) {
-	if _, err := NewWindow(0, nil, nil, nil); err == nil {
+	if _, err := newTestWindow(0, nil, nil, nil); err == nil {
 		t.Fatal("empty window accepted")
 	}
-	if _, err := NewWindow(0, [][]float64{{0, 1}}, nil, nil); err == nil {
+	if _, err := newTestWindow(0, [][]float64{{0, 1}}, nil, nil); err == nil {
 		t.Fatal("non-square intra accepted")
 	}
-	if _, err := NewWindow(0, [][]float64{{0, -1}, {-1, 0}}, nil, nil); err == nil {
+	if _, err := newTestWindow(0, [][]float64{{0, -1}, {-1, 0}}, nil, nil); err == nil {
 		t.Fatal("negative distance accepted")
 	}
-	if _, err := NewWindow(0, [][]float64{{0, 1}, {1, 0}}, [][]float64{{1, 2, 3}}, nil); err == nil {
+	if _, err := newTestWindow(0, [][]float64{{0, 1}, {1, 0}}, [][]float64{{1, 2, 3}}, nil); err == nil {
 		t.Fatal("bad boundary width accepted")
 	}
 	// P = 10 with 5-element neighbours: 200 distances, more than Load's
@@ -312,17 +312,17 @@ func TestNewWindowErrors(t *testing.T) {
 		}
 		return b
 	}
-	if _, err := NewWindow(0, block(10, 10), block(5, 10), block(5, 10)); err == nil {
+	if _, err := newTestWindow(0, block(10, 10), block(5, 10), block(5, 10)); err == nil {
 		t.Fatal("oversized cluster accepted")
 	}
-	if _, err := NewWindow(0, block(2, 2), block(9, 2), nil); err == nil {
+	if _, err := newTestWindow(0, block(2, 2), block(9, 2), nil); err == nil {
 		t.Fatal("oversized neighbour accepted")
 	}
 }
 
 func TestSingletonWindow(t *testing.T) {
 	// A one-element cluster has one column and only boundary couplings.
-	w, err := NewWindow(0, [][]float64{{0}}, [][]float64{{12}}, [][]float64{{7}})
+	w, err := newTestWindow(0, [][]float64{{0}}, [][]float64{{12}}, [][]float64{{7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func BenchmarkLocalEnergyP3(b *testing.B) {
 	}
 	fromPrev := [][]float64{{5, 15, 25}, {7, 17, 27}, {1, 2, 3}}
 	toNext := [][]float64{{6, 16, 26}, {8, 18, 28}, {9, 19, 29}}
-	w, err := NewWindow(0, intra, fromPrev, toNext)
+	w, err := newTestWindow(0, intra, fromPrev, toNext)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestColumnSumEquivalentToLocalEnergy(t *testing.T) {
 	}
 	fromPrev := [][]float64{{4, 14, 24}, {5, 15, 25}}
 	toNext := [][]float64{{6, 16, 26}, {7, 17, 27}, {8, 18, 28}}
-	w, err := NewWindow(9, intra, fromPrev, toNext)
+	w, err := newTestWindow(9, intra, fromPrev, toNext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestColumnSumEquivalentToLocalEnergy(t *testing.T) {
 
 func TestActiveRowsLayout(t *testing.T) {
 	intra := [][]float64{{0, 1}, {1, 0}}
-	w, err := NewWindow(0, intra, [][]float64{{2, 3}}, [][]float64{{4, 5}, {6, 7}})
+	w, err := newTestWindow(0, intra, [][]float64{{2, 3}}, [][]float64{{4, 5}, {6, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,13 +598,13 @@ func TestUnreadCellsNeverPseudoRead(t *testing.T) {
 	}
 }
 
-// TestNewWindowsCarveDisjointCells checks that windows sharing the
-// level's slabs never see each other's cells.
-func TestNewWindowsCarveDisjointCells(t *testing.T) {
+// TestNewLevelCarvesDisjointCells checks that windows sharing the
+// level's slabs never see each other's cells or memo entries.
+func TestNewLevelCarvesDisjointCells(t *testing.T) {
 	shapes := []Shape{{P: 3, PPrev: 2, PNext: 1}, {P: 1, PPrev: 3, PNext: 2}, {P: 2, PPrev: 1, PNext: 3}}
-	ws := NewWindows(shapes)
-	for i := range ws {
-		w := &ws[i]
+	l := NewLevel(shapes)
+	for i := range l.Windows {
+		w := &l.Windows[i]
 		if w.Index != i || w.Shape != shapes[i] {
 			t.Fatalf("window %d: index %d shape %+v", i, w.Index, w.Shape)
 		}
@@ -612,25 +612,30 @@ func TestNewWindowsCarveDisjointCells(t *testing.T) {
 		for k := range dist {
 			dist[k] = float64(10*i + k%7 + 1)
 		}
-		if err := w.Load(dist); err != nil {
+		if err := l.Load(i, dist); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := make([][]uint8, len(ws))
-	for i := range ws {
-		w := &ws[i]
+	want := make([][]uint8, len(l.Windows))
+	for i := range l.Windows {
+		w := windowOf(l, i)
 		for row := 0; row < w.Rows(); row++ {
 			for col := 0; col < w.Cols(); col++ {
 				want[i] = append(want[i], w.CleanWeight(row, col))
 			}
 		}
 	}
-	// Reloading one window must leave its neighbours' cells alone.
-	if err := ws[1].Load(make([]float64, ws[1].Elems()*ws[1].P)); err != nil {
+	// Fill window 0's and 2's memos, then reload window 1: its
+	// neighbours' cells and memo entries must stay.
+	in0 := Inputs{Order: []int{2, 0, 1}, PrevElem: 1, NextElem: 0}
+	in2 := Inputs{Order: []int{1, 0}, PrevElem: 0, NextElem: 2}
+	d0, d2 := windowOf(l, 0).swap(in0, 0, 2), windowOf(l, 2).swap(in2, 0, 1)
+	memo := append([]uint64(nil), l.memo...)
+	if err := l.Load(1, make([]float64, l.Windows[1].Elems()*l.Windows[1].P)); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 2} {
-		w := &ws[i]
+		w := windowOf(l, i)
 		k := 0
 		for row := 0; row < w.Rows(); row++ {
 			for col := 0; col < w.Cols(); col++ {
@@ -640,5 +645,13 @@ func TestNewWindowsCarveDisjointCells(t *testing.T) {
 				k++
 			}
 		}
+	}
+	for k := range memo {
+		if l.memo[k] != memo[k] {
+			t.Fatalf("memo entry %d changed from %#x to %#x when window 1 reloaded", k, memo[k], l.memo[k])
+		}
+	}
+	if windowOf(l, 0).swap(in0, 0, 2) != d0 || windowOf(l, 2).swap(in2, 0, 1) != d2 {
+		t.Fatal("neighbour ΔH changed when window 1 reloaded")
 	}
 }

@@ -24,19 +24,24 @@ var (
 	evNext      = memoEvent{"next boundary change", "the next cluster's boundary element must change the memo key"}
 	evCorrupt   = memoEvent{"corrupted input", "a corrupted spin input must change the memo key"}
 	evRestore   = memoEvent{"restored input", "the uncorrupted order must change the memo key back"}
-	evWriteBack = memoEvent{"write-back", "WriteBack must clear the memo"}
+	evWriteBack = memoEvent{"write-back", "a write-back into or out of a noisy epoch must clear the memo"}
+	evCleanWB   = memoEvent{"clean write-back", "a clean-to-clean write-back must keep every memo entry, each still equal to the reference"}
 )
 
 // TestSwapDeltaMemoMatchesReference drives long input sequences through
-// the memoised SwapDelta — repeats, new pairs, accepted swaps, boundary
-// element changes, corrupted spin inputs and write-backs into noisy
-// (sram, mram) and clean epochs — and checks every ΔH bit for bit
-// against the four-LocalEnergy reference. In noisy epochs it also tells
-// hits from misses by their pseudo-reads: before each evaluation the
-// window's cell cache is dropped (reads are pure functions of cell,
-// code and epoch, so this changes no value), so a recomputation must
-// reach the fabric and a memo hit must not. A failure names the event
-// before it and the invalidation rule that broke.
+// the memoised SwapDelta of one window in the middle of a level —
+// repeats, new pairs, accepted swaps, boundary element changes,
+// corrupted spin inputs and write-backs into noisy (sram, mram) and
+// clean epochs — and checks every ΔH bit for bit against the
+// four-LocalEnergy reference. In noisy epochs it also tells hits from
+// misses by their pseudo-reads: before each evaluation the level's cell
+// cache is dropped (reads are pure functions of cell, code and epoch,
+// so this changes no value), so a recomputation must reach the fabric
+// and a memo hit must not. At each write-back it checks the level-owned
+// memo: cleared when either epoch is noisy, kept entry for entry — and
+// each entry still the reference ΔH of its key — when both are clean.
+// The neighbouring windows' memo entries must never be touched. A
+// failure names the event before it and the rule that broke.
 func TestSwapDeltaMemoMatchesReference(t *testing.T) {
 	shapes := []Shape{{3, 3, 3}, {2, 1, 2}, {8, 8, 8}, {5, 2, 7}, {4, 0, 0}}
 	for _, kind := range []string{noise.KindSRAM, noise.KindMRAM} {
@@ -53,10 +58,20 @@ func TestSwapDeltaMemoMatchesReference(t *testing.T) {
 }
 
 func driveMemo(t *testing.T, fab noise.Fabric, s Shape, r *rng.Rand, steps int) {
-	w, err := randomWindow(r, s.P, s.PPrev, s.PNext)
-	if err != nil {
-		t.Fatal(err)
+	// The driven window sits between two others, the first of the
+	// largest size, so its memo lives at the slab's widest stride.
+	shapes := []Shape{{8, 3, 2}, s, {2, 1, 4}}
+	l := NewLevel(shapes)
+	for wi, sh := range shapes {
+		dist := make([]float64, sh.Elems()*sh.P)
+		for k := range dist {
+			dist[k] = r.Float64() * 100
+		}
+		if err := l.Load(wi, dist); err != nil {
+			t.Fatal(err)
+		}
 	}
+	w := windowOf(l, 1)
 	// boundary draws a neighbour's facing element, or -1 when the
 	// window has no such neighbour.
 	boundary := func(n int) int {
@@ -75,35 +90,36 @@ func driveMemo(t *testing.T, fab noise.Fabric, s Shape, r *rng.Rand, steps int) 
 	}
 	i, j := pair()
 	ep := &countingEpoch{}
-	nLSBs := []int{6, 3, 0}
+	nLSBs := []int{6, 3, 0, 0, 0}
 	vdds := []float64{0.3, 0.38, 0.46, 0.54}
 	writeBack := func(k int) {
 		ep.Epoch = fab.At(vdds[k%len(vdds)])
-		w.WriteBack(ep, nLSBs[k%len(nLSBs)])
+		l.WriteBack(ep, nLSBs[k%len(nLSBs)])
 	}
 	writeBack(0)
 	// last maps each unordered pair to the inputs of its latest
-	// evaluation since the last write-back: the memo's one entry.
+	// evaluation since the memo was last cleared: the memo's one entry.
 	last := map[[2]int]string{}
 	scratch := make([]uint8, w.Rows())
+	memo := l.memo[l.pairs : 2*l.pairs]
 	ev, epochs := memoEvent{"start", "the first evaluation must miss"}, 0
 	for step := 0; step < steps; step++ {
 		lo, hi := min(i, j), max(i, j)
 		inKey := fmt.Sprint(in)
 		repeat := last[[2]int{lo, hi}] == inKey
-		clear(w.seen)
+		clear(l.seen)
 		reads := ep.reads
-		got := w.SwapDelta(in, i, j)
+		got := w.swap(in, i, j)
 		reads = ep.reads - reads
 		want := w.refSwapDelta(in, i, j, scratch)
 		if got != want {
 			t.Fatalf("step %d after %s (inputs %v, pair %d,%d, nLSB %d): SwapDelta %d, reference %d — %s",
-				step, ev.name, in, i, j, w.nLSB, got, want, ev.rule)
+				step, ev.name, in, i, j, l.nLSB, got, want, ev.rule)
 		}
-		if w.nLSB > 0 && repeat && reads != 0 {
+		if l.nLSB > 0 && repeat && reads != 0 {
 			t.Fatalf("step %d after %s: a memo hit pseudo-read %d cells — %s", step, ev.name, reads, evRepeat.rule)
 		}
-		if w.nLSB > 0 && !repeat && reads == 0 {
+		if l.nLSB > 0 && !repeat && reads == 0 {
 			t.Fatalf("step %d after %s (inputs %v, pair %d,%d): SwapDelta reused a stale memo entry — %s",
 				step, ev.name, in, i, j, ev.rule)
 		}
@@ -155,12 +171,63 @@ func driveMemo(t *testing.T, fab noise.Fabric, s Shape, r *rng.Rand, steps int) 
 			}
 			corrupted = !corrupted
 		case x < 17:
-			ev = evWriteBack
+			before := append([]uint64(nil), memo...)
+			wasNoisy := l.nLSB > 0
 			epochs++
 			writeBack(epochs)
-			clear(last)
+			if wasNoisy || l.nLSB > 0 {
+				ev = evWriteBack
+				for k, e := range memo {
+					if e != 0 {
+						t.Fatalf("step %d: memo entry %d survived a write-back from nLSB>0=%v to nLSB %d — %s",
+							step, k, wasNoisy, l.nLSB, ev.rule)
+					}
+				}
+				clear(last)
+				break
+			}
+			ev = evCleanWB
+			checkKeptMemo(t, w, before, memo, scratch)
 		default:
 			ev = evRepeat
+		}
+	}
+	for _, wi := range []int{0, 2} {
+		for k, e := range l.memo[wi*l.pairs : (wi+1)*l.pairs] {
+			if e != 0 {
+				t.Fatalf("window %d memo entry %d = %#x, written while driving window 1", wi, k, e)
+			}
+		}
+	}
+}
+
+// checkKeptMemo asserts a clean-to-clean write-back kept every entry of
+// the window's memo, and that each one still holds the reference ΔH of
+// the inputs its key packs.
+func checkKeptMemo(t *testing.T, w testWindow, before, memo []uint64, scratch []uint8) {
+	t.Helper()
+	for k, e := range memo {
+		if e != before[k] {
+			t.Fatalf("memo entry %d changed from %#x to %#x — %s", k, before[k], e, evCleanWB.rule)
+		}
+		if e == 0 {
+			continue
+		}
+		// Entry k is slot pair i < j at j(j−1)/2 + i.
+		j := 1
+		for j*(j+1)/2 <= k {
+			j++
+		}
+		i := k - j*(j-1)/2
+		key := e >> 16
+		in := Inputs{
+			Order:    Order(key&(1<<24-1)).Unpack(w.P, nil),
+			PrevElem: int(key>>24&15) - 1,
+			NextElem: int(key>>28&15) - 1,
+		}
+		if got, want := int(int16(uint16(e))), w.refSwapDelta(in, i, j, scratch); got != want {
+			t.Fatalf("kept memo entry %d (inputs %v, pair %d,%d) holds %d, reference %d — %s",
+				k, in, i, j, got, want, evCleanWB.rule)
 		}
 	}
 }
@@ -174,20 +241,20 @@ func BenchmarkSwapDelta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w.WriteBack(noise.NewFabric(5).At(0.3), 6)
-	a := Inputs{Order: []int{0, 1, 2}, PrevElem: 1, NextElem: 2}
-	c := Inputs{Order: []int{2, 1, 0}, PrevElem: 1, NextElem: 2}
+	l := w.Level
+	l.WriteBack(noise.NewFabric(5).At(0.3), 6)
+	a, c := PackOrder([]int{0, 1, 2}), PackOrder([]int{2, 1, 0})
 	b.Run("hit", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
-			w.SwapDelta(a, 0, 2)
+			l.SwapDelta(0, a, 1, 2, 0, 2)
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			if n&1 == 0 {
-				w.SwapDelta(a, 0, 2)
+				l.SwapDelta(0, a, 1, 2, 0, 2)
 			} else {
-				w.SwapDelta(c, 0, 2)
+				l.SwapDelta(0, c, 1, 2, 0, 2)
 			}
 		}
 	})

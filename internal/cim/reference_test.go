@@ -11,23 +11,83 @@ import (
 // (LocalEnergy), its per-column shortcut over the active rows
 // (ColumnSum) and the swap ΔH built from four LocalEnergy MACs
 // (refSwapDelta). Production evaluates swaps with the memoised fused
-// kernel behind Window.SwapDelta; these are the definitions it is
-// checked against.
+// kernel behind Level.SwapDelta; these are the definitions it is
+// checked against. They take the spin state as unpacked Inputs.
+
+// Inputs describes the spin state feeding one window MAC, unpacked: the
+// cluster's own order plus the facing boundary elements of its
+// neighbours.
+type Inputs struct {
+	// Order maps the cluster's order slots to element indices.
+	Order []int
+	// PrevElem is the neighbouring element adjacent to slot 0 (the prev
+	// cluster's last-ordered element); -1 if absent.
+	PrevElem int
+	// NextElem is the element adjacent to the last slot (the next
+	// cluster's first-ordered element); -1 if absent.
+	NextElem int
+}
+
+// testWindow is window w of a level: the unit the references work on.
+type testWindow struct {
+	*Level
+	*Window
+	w int
+}
+
+// newTestWindow builds a one-window level from the window's distance
+// blocks:
+//
+//	intra[m][k]:  distance between own elements m and k (P×P)
+//	fromPrev[m][k]: distance from prev cluster's element m to own k
+//	toNext[m][k]:   distance from own element k to next cluster's element m
+//
+// index namespaces the window's cell IDs.
+func newTestWindow(index int, intra, fromPrev, toNext [][]float64) (testWindow, error) {
+	p := len(intra)
+	if p == 0 {
+		return testWindow{}, fmt.Errorf("cim: empty window")
+	}
+	s := Shape{P: p, PPrev: len(fromPrev), PNext: len(toNext)}
+	dist := make([]float64, 0, s.Elems()*p)
+	for _, block := range [][][]float64{intra, fromPrev, toNext} {
+		for _, row := range block {
+			if len(row) != p {
+				return testWindow{}, fmt.Errorf("cim: distance block width %d, want %d", len(row), p)
+			}
+			dist = append(dist, row...)
+		}
+	}
+	l := NewLevel([]Shape{s})
+	l.Windows[0].Index = index
+	if err := l.Load(0, dist); err != nil {
+		return testWindow{}, err
+	}
+	return testWindow{l, &l.Windows[0], 0}, nil
+}
+
+// windowOf returns window w of l as a testWindow.
+func windowOf(l *Level, w int) testWindow { return testWindow{l, &l.Windows[w], w} }
+
+// swap is Level.SwapDelta on this window with unpacked inputs.
+func (w testWindow) swap(in Inputs, i, j int) int {
+	return w.Level.SwapDelta(w.w, PackOrder(in.Order), in.PrevElem, in.NextElem, i, j)
+}
 
 // Weight returns the code the compute path currently observes.
-func (w *Window) Weight(row, col int) uint8 {
+func (w testWindow) Weight(row, col int) uint8 {
 	if w.nLSB <= 0 {
 		return w.CleanWeight(row, col)
 	}
-	return w.observed(col*w.Rows(), row, col)
+	return w.observed(w.Window, w.cells+col*w.Rows(), row, col)
 }
 
 // CleanWeight returns the written code.
-func (w *Window) CleanWeight(row, col int) uint8 { return w.clean[col*w.Rows()+row] }
+func (w testWindow) CleanWeight(row, col int) uint8 { return w.clean[w.cells+col*w.Rows()+row] }
 
 // rowBits materializes the input bit per window row for the given spin
 // state, reusing buf when it has capacity.
-func (w *Window) rowBits(in Inputs, buf []uint8) []uint8 {
+func (w testWindow) rowBits(in Inputs, buf []uint8) []uint8 {
 	rows := w.Rows()
 	if cap(buf) < rows {
 		buf = make([]uint8, rows)
@@ -51,7 +111,7 @@ func (w *Window) rowBits(in Inputs, buf []uint8) []uint8 {
 // the adder tree sums input-bit × weight-bit products down the selected
 // column. The result is in quantized units (multiply by Quant.Scale for
 // distance units).
-func (w *Window) LocalEnergy(in Inputs, i, k int, scratch []uint8) int {
+func (w testWindow) LocalEnergy(in Inputs, i, k int, scratch []uint8) int {
 	if len(in.Order) != w.P {
 		panic(fmt.Sprintf("cim: order length %d, window P %d", len(in.Order), w.P))
 	}
@@ -73,7 +133,7 @@ func (w *Window) LocalEnergy(in Inputs, i, k int, scratch []uint8) int {
 // ColumnSum returns the adder-tree result for the selected column given
 // the set of rows whose input bit is 1: LocalEnergy with the equivalent
 // one-hot input vector, skipping the inactive rows and bit planes.
-func (w *Window) ColumnSum(activeRows []int, col int) int {
+func (w testWindow) ColumnSum(activeRows []int, col int) int {
 	total := 0
 	for _, r := range activeRows {
 		total += int(w.Weight(r, col))
@@ -84,7 +144,7 @@ func (w *Window) ColumnSum(activeRows []int, col int) int {
 // ActiveRows fills buf with the indices of rows whose input bit is 1 for
 // the given spin state: one row per order slot plus the two boundary
 // rows when present.
-func (w *Window) ActiveRows(in Inputs, buf []int) []int {
+func (w testWindow) ActiveRows(in Inputs, buf []int) []int {
 	rows := buf[:0]
 	p := w.P
 	for j, m := range in.Order {
@@ -102,7 +162,7 @@ func (w *Window) ActiveRows(in Inputs, buf []int) []int {
 // refSwapDelta is the swap ΔH from four LocalEnergy MACs, H(σ'_il) +
 // H(σ'_jk) − H(σ_ik) − H(σ_jl), with no memo. The order in Inputs is
 // restored before it returns.
-func (w *Window) refSwapDelta(in Inputs, i, j int, scratch []uint8) int {
+func (w testWindow) refSwapDelta(in Inputs, i, j int, scratch []uint8) int {
 	k, l := in.Order[i], in.Order[j]
 	before := w.LocalEnergy(in, i, k, scratch) + w.LocalEnergy(in, j, l, scratch)
 	in.Order[i], in.Order[j] = l, k

@@ -17,6 +17,7 @@ import (
 
 	"cimsa/internal/cim"
 	"cimsa/internal/cluster"
+	"cimsa/internal/device"
 	"cimsa/internal/geom"
 	"cimsa/internal/heuristics"
 	"cimsa/internal/noise"
@@ -363,28 +364,46 @@ func permuteNodes(nodes []*cluster.Node, order []int) []*cluster.Node {
 	return out
 }
 
-// levelState holds the annealing state of one hierarchy level: the
-// cyclic sequence of clusters, each with a mutable child order.
+// levelState holds the annealing state of one hierarchy level as flat
+// per-cluster arrays: the cyclic sequence of clusters, each cluster's
+// child order packed into one word (slot 0 highest, as the swap memo
+// keys it) and its child count, plus the level's weight windows. A
+// proposal that hits the memo reads sizes, three adjacent order words
+// and one memo word, and follows no pointer.
 type levelState struct {
-	clusters []*clusterState
+	nodes []*cluster.Node
+	// orders[ci] is cluster ci's order: slot → index within
+	// nodes[ci].Children.
+	orders []cim.Order
+	// sizes[ci] is cluster ci's child count (at most 8).
+	sizes []uint8
+	chip  *cim.Level
 }
 
-type clusterState struct {
-	node   *cluster.Node
-	window *cim.Window
-	// order[slot] = child index within node.Children.
-	order []int
-	// spinBuf is the noisy-spins ablation's corrupted-order scratch,
-	// reused across proposals. Only the worker updating this cluster
-	// touches it (same-phase clusters are non-adjacent, and a cluster
-	// belongs to exactly one phase).
-	spinBuf []int
+// newLevelState lays out a level's clusters, each in identity order.
+func newLevelState(nodes []*cluster.Node) *levelState {
+	st := &levelState{nodes: nodes, orders: make([]cim.Order, len(nodes)), sizes: make([]uint8, len(nodes))}
+	for ci, n := range nodes {
+		p := len(n.Children)
+		st.sizes[ci] = uint8(p)
+		st.orders[ci] = cim.IdentityOrder(p)
+	}
+	return st
 }
 
-// firstElem/lastElem return the child index currently at the cluster's
-// tour-facing edges.
-func (c *clusterState) firstElem() int { return c.order[0] }
-func (c *clusterState) lastElem() int  { return c.order[len(c.order)-1] }
+// order unpacks cluster ci's order onto dst.
+func (st *levelState) order(ci int, dst []int) []int {
+	return st.orders[ci].Unpack(int(st.sizes[ci]), dst)
+}
+
+// unpackOrders returns every cluster's order as a fresh slice.
+func (st *levelState) unpackOrders() [][]int {
+	out := make([][]int, len(st.orders))
+	for ci := range st.orders {
+		out[ci] = st.order(ci, nil)
+	}
+	return out
+}
 
 // annealLevel orders the children of each node and returns the expanded
 // child sequence plus (when requested) the objective trace. levelIdx
@@ -395,64 +414,28 @@ func (c *clusterState) lastElem() int  { return c.order[len(c.order)-1] }
 // restarts the level mid-schedule from a snapshot's orders.
 func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, levels int, o Options, stats *Stats, ex *executor, sn *snapshotter, resume *levelResume) ([]*cluster.Node, []float64, error) {
 	nc := len(nodes)
-	state := &levelState{clusters: make([]*clusterState, nc)}
-	for ci, n := range nodes {
-		p := len(n.Children)
-		cs := &clusterState{node: n, order: make([]int, p)}
-		if o.Mode == ModeNoisySpins {
-			cs.spinBuf = make([]int, 0, p)
-		}
-		for i := range cs.order {
-			cs.order[i] = i
-		}
-		state.clusters[ci] = cs
-	}
+	state := newLevelState(nodes)
 	if resume != nil {
-		// Adopt the snapshot's in-progress orders, then hold them to the
-		// same permutation invariant the expansion enforces.
+		// Adopt the snapshot's in-progress orders, held to the same
+		// permutation invariant the expansion enforces.
 		if len(resume.orders) != nc {
 			return nil, nil, fmt.Errorf("clustered: resume: level %d has %d orders for %d clusters",
 				level, len(resume.orders), nc)
 		}
-		for ci, cs := range state.clusters {
-			if len(resume.orders[ci]) != len(cs.order) {
-				return nil, nil, fmt.Errorf("clustered: resume: level %d cluster %d order has %d slots for %d children",
-					level, ci, len(resume.orders[ci]), len(cs.order))
+		for ci, order := range resume.orders {
+			if err := checkOrder(order, int(state.sizes[ci])); err != nil {
+				return nil, nil, fmt.Errorf("clustered: resume: level %d cluster %d %w", level, ci, err)
 			}
-			copy(cs.order, resume.orders[ci])
-		}
-		if err := validateClusterOrders(state, level); err != nil {
-			return nil, nil, fmt.Errorf("clustered: resume: %w", err)
+			state.orders[ci] = cim.PackOrder(order)
 		}
 	}
-	// Build the weight windows against the initial neighbour geometry,
-	// all carved from one level's slabs. On resume the loads were already
-	// counted when the level first ran, and the restored Stats carry
-	// them — rebuild without re-counting.
-	shapes := make([]cim.Shape, nc)
-	for ci, cs := range state.clusters {
-		shapes[ci] = cim.Shape{
-			P:     len(cs.node.Children),
-			PPrev: len(state.clusters[(ci-1+nc)%nc].node.Children),
-			PNext: len(state.clusters[(ci+1)%nc].node.Children),
-		}
-		if resume == nil {
-			stats.WeightWrites += int64(shapes[ci].Rows() * shapes[ci].Cols())
-		}
-	}
-	windows := cim.NewWindows(shapes)
-	for ci, cs := range state.clusters {
-		cs.window = &windows[ci]
-		loadWindow(state, ci, o.WeightBits)
+	ex.buildLevel(state, &o)
+	if resume == nil {
+		// On resume the loads were already counted when the level first
+		// ran, and the restored Stats carry them.
+		stats.WeightWrites += int64(state.chip.Cells())
 	}
 	job := &ex.job
-	job.state = state
-	job.opt = &o
-
-	// Fuse the level's dispatch plan once: chromatic phases, grab sizes
-	// and fan-outs are all resolved here (and retuned at write-back
-	// epochs), so the iteration loop below does no dispatch setup work.
-	ex.planLevel(nc)
 	iters := o.Schedule.TotalIters()
 	temp := metropolisTemp(state)
 	transfersPerIter := boundaryTransfersPerIter(state)
@@ -473,14 +456,10 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 		startIter = resume.iter
 		if startIter%o.Schedule.EpochIters != 0 {
 			// The snapshot was taken mid-epoch (a cancellation flush).
-			// Re-establish the epoch's window state — WriteBack restores
-			// the clean weights and re-applies the stateless noise, so
-			// this lands bit-identically — without re-counting work the
-			// restored Stats already include.
-			job.setRefresh(startIter - startIter%o.Schedule.EpochIters)
-			job.silent = true
-			ex.dispatch(job, nc)
-			job.silent = false
+			// Re-enter the epoch: the write-back is stateless, so this
+			// lands bit-identically, and the restored Stats already
+			// count it.
+			state.chip.WriteBack(writeBackEpoch(&o, startIter-startIter%o.Schedule.EpochIters))
 		}
 	}
 	for iter := startIter; iter < iters; iter++ {
@@ -497,17 +476,19 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 		}
 		if iter%o.Schedule.EpochIters == 0 {
 			if sn != nil {
-				// Snapshot before the refresh: on resume the loop re-runs
-				// the refresh (and re-counts it), matching the
+				// Snapshot before the write-back: on resume the loop
+				// re-runs it (and re-counts it), matching the
 				// uninterrupted accounting.
 				if err := sn.snap(state, levelIdx, iter, false); err != nil {
 					return nil, nil, err
 				}
 			}
-			// Write-back + pseudo-read epoch; windows are independent, so
-			// the pool sweeps them in parallel.
-			job.setRefresh(iter)
-			ex.runStep(job, &ex.plan.refresh)
+			// Write-back + pseudo-read epoch: every window of the level
+			// shares it, and every window — singletons too, which exist
+			// on the chip — is rewritten.
+			state.chip.WriteBack(writeBackEpoch(&o, iter))
+			stats.WriteBacks += int64(nc)
+			stats.WeightWrites += int64(state.chip.Cells())
 			// Epoch boundary: fold the freshly measured per-item costs
 			// back into the plan's grab/fan sizing (never into results).
 			ex.retune()
@@ -557,38 +538,88 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 	if sn != nil {
 		sn.finishLevel(state)
 	}
-	var out []*cluster.Node
-	for _, cs := range state.clusters {
-		for _, childIdx := range cs.order {
-			out = append(out, cs.node.Children[childIdx])
+	total := 0
+	for _, p := range state.sizes {
+		total += int(p)
+	}
+	out := make([]*cluster.Node, 0, total)
+	var buf [8]int
+	for ci, n := range state.nodes {
+		for _, childIdx := range state.order(ci, buf[:0]) {
+			out = append(out, n.Children[childIdx])
 		}
 	}
 	return out, trace, nil
 }
 
-// validateClusterOrders asserts each cluster's child order is a
-// permutation of [0, len(children)) before the level is expanded.
+// buildLevel points the executor's job at the level and builds the
+// level's weight windows against the initial neighbour geometry, all
+// carved from one level's slabs and loaded on the pool. It also fuses
+// the level's dispatch plan once: the window loads, chromatic phases,
+// grab sizes and fan-outs are all resolved here (and retuned at
+// write-back epochs), so the iteration loop does no dispatch setup
+// work.
+func (ex *executor) buildLevel(state *levelState, o *Options) {
+	nc := len(state.sizes)
+	shapes := make([]cim.Shape, nc)
+	for ci := range shapes {
+		shapes[ci] = cim.Shape{
+			P:     int(state.sizes[ci]),
+			PPrev: int(state.sizes[(ci-1+nc)%nc]),
+			PNext: int(state.sizes[(ci+1)%nc]),
+		}
+	}
+	state.chip = cim.NewLevel(shapes)
+	ex.job.state = state
+	ex.job.opt = o
+	ex.planLevel(state.sizes)
+	ex.job.kind = jobLoadWindows
+	ex.runStep(&ex.job, &ex.plan.load)
+	state.chip.MaskWeights(o.WeightBits)
+}
+
+// writeBackEpoch returns the fabric pass and noisy-LSB count of the
+// write-back epoch that starts at iteration iter. Only the noisy-CIM
+// mode reads its weights through the schedule's reduced supply; every
+// other mode refreshes clean (the spin-noise ablation corrupts inputs
+// at proposal time instead). The device model owns the supply-voltage
+// truth: refreshing at its nominal V_DD (rather than a copied literal)
+// keeps the refresh clean even if the technology point changes.
+func writeBackEpoch(o *Options, iter int) (noise.Epoch, int) {
+	vdd, nLSB := device.NominalVDD, 0
+	if o.Mode == ModeNoisyCIM {
+		vdd, nLSB = o.Schedule.At(iter)
+	}
+	return o.Fabric.At(vdd), nLSB
+}
+
+// checkOrder reports an order that is not a permutation of [0, p).
+func checkOrder(order []int, p int) error {
+	if len(order) != p {
+		return fmt.Errorf("order has %d slots for %d children", len(order), p)
+	}
+	var seen [8]bool
+	for _, childIdx := range order {
+		if childIdx < 0 || childIdx >= p || seen[childIdx] {
+			return fmt.Errorf("order is not a permutation: %v", order)
+		}
+		seen[childIdx] = true
+	}
+	return nil
+}
+
+// validateClusterOrders asserts each cluster's packed order is a
+// permutation of [0, len(children)) — with no stray bits above its
+// slots — before the level is expanded.
 func validateClusterOrders(state *levelState, level int) error {
-	var seen []bool
-	for ci, cs := range state.clusters {
-		p := len(cs.node.Children)
-		if len(cs.order) != p {
-			return fmt.Errorf("clustered: level %d cluster %d order has %d slots for %d children",
-				level, ci, len(cs.order), p)
+	var buf [8]int
+	for ci, o := range state.orders {
+		p := int(state.sizes[ci])
+		if o>>(3*p) != 0 {
+			return fmt.Errorf("clustered: level %d cluster %d order %#x has bits beyond its %d slots", level, ci, uint32(o), p)
 		}
-		if cap(seen) < p {
-			seen = make([]bool, p)
-		}
-		seen = seen[:p]
-		for i := range seen {
-			seen[i] = false
-		}
-		for _, childIdx := range cs.order {
-			if childIdx < 0 || childIdx >= p || seen[childIdx] {
-				return fmt.Errorf("clustered: level %d cluster %d order is not a permutation: %v",
-					level, ci, cs.order)
-			}
-			seen[childIdx] = true
+		if err := checkOrder(o.Unpack(p, buf[:0]), p); err != nil {
+			return fmt.Errorf("clustered: level %d cluster %d %w", level, ci, err)
 		}
 	}
 	return nil
@@ -601,16 +632,16 @@ func validateClusterOrders(state *levelState, level int) error {
 // one-hot encoded over that neighbour's *actual* element count —
 // remainder clusters smaller than pMax transfer fewer bits.
 func boundaryTransfersPerIter(state *levelState) int64 {
-	nc := len(state.clusters)
+	nc := len(state.sizes)
 	transfers := int64(0)
-	for ci := range state.clusters {
+	for ci := range state.sizes {
 		prev := (ci - 1 + nc) % nc
 		next := (ci + 1) % nc
 		if cim.ArrayOf(prev) != cim.ArrayOf(ci) {
-			transfers += int64(cim.BoundaryTransferBits(len(state.clusters[prev].order)))
+			transfers += int64(cim.BoundaryTransferBits(int(state.sizes[prev])))
 		}
 		if cim.ArrayOf(next) != cim.ArrayOf(ci) {
-			transfers += int64(cim.BoundaryTransferBits(len(state.clusters[next].order)))
+			transfers += int64(cim.BoundaryTransferBits(int(state.sizes[next])))
 		}
 	}
 	return transfers
@@ -622,9 +653,9 @@ func boundaryTransfersPerIter(state *levelState) int64 {
 func metropolisTemp(state *levelState) float64 {
 	var sum float64
 	var count int
-	for _, cs := range state.clusters {
-		if cs.window.Quant.Scale > 0 {
-			sum += cs.window.Quant.Scale * 255
+	for i := range state.chip.Windows {
+		if s := state.chip.Windows[i].Quant.Scale; s > 0 {
+			sum += s * 255
 			count++
 		}
 	}
@@ -642,7 +673,8 @@ func metropolisTemp(state *levelState) float64 {
 // of execution order, so parallel and sequential runs are bit-identical.
 // The fold is sequential, so the state after (seed, level, iter) is
 // shared by every cluster of the iteration: iterKey computes it once per
-// iteration, and proposal folds in only the cluster and the two streams.
+// iteration, clusterKey folds in the cluster, and proposal and
+// acceptUniform fold in their stream.
 
 // counterInit is the counter hash's initial state.
 const counterInit = uint64(0x9e3779b97f4a7c15)
@@ -665,54 +697,79 @@ func iterKey(seed uint64, level, iter int) uint64 {
 	return counterFold(counterFold(counterFold(counterInit, seed), uint64(level)), uint64(iter))
 }
 
-// proposal derives cluster ci's swap slots i, j (in [0, p)) and
-// acceptance uniform u for the iteration whose iterKey is key.
-func proposal(key uint64, ci, p int) (i, j int, u float64) {
-	hc := counterFold(key, uint64(ci))
+// clusterKey is the counter-hash state of cluster ci in the iteration
+// whose iterKey is key.
+func clusterKey(key uint64, ci int) uint64 { return counterFold(key, uint64(ci)) }
+
+// proposal derives the swap slots i, j (in [0, p)) from a cluster's
+// clusterKey hc. Each case divides by a constant, which compiles to a
+// multiply and shift; the values are those of h % p.
+func proposal(hc uint64, p int) (i, j int) {
 	h := counterFinish(counterFold(hc, 0))
-	i = int(h % uint64(p))
-	j = int((h >> 24) % uint64(p))
-	u = float64(counterFinish(counterFold(hc, 1))>>11) / (1 << 53)
-	return
+	g := h >> 24
+	switch p {
+	case 2:
+		return int(h % 2), int(g % 2)
+	case 3:
+		return int(h % 3), int(g % 3)
+	case 4:
+		return int(h % 4), int(g % 4)
+	case 5:
+		return int(h % 5), int(g % 5)
+	case 6:
+		return int(h % 6), int(g % 6)
+	case 7:
+		return int(h % 7), int(g % 7)
+	case 8:
+		return int(h % 8), int(g % 8)
+	}
+	return int(h % uint64(p)), int(g % uint64(p))
+}
+
+// acceptUniform derives the Metropolis acceptance uniform in [0, 1)
+// from a cluster's clusterKey hc. Only a Metropolis uphill move reads
+// it, and no other draw depends on it, so the other modes skip it.
+func acceptUniform(hc uint64) float64 {
+	return float64(counterFinish(counterFold(hc, 1))>>11) / (1 << 53)
 }
 
 // updateCluster proposes and (maybe) applies one swap for cluster ci in
 // the iteration whose iterKey is key. Returns proposal/acceptance counts
 // (0 or 1 each). It is the worker pool's unit of work: it writes only
-// cluster ci's state and reads only neighbours that are frozen for the
-// current chromatic phase.
+// cluster ci's order word and reads only neighbours that are frozen for
+// the current chromatic phase.
 func updateCluster(state *levelState, ci int, key uint64, o *Options, ep noise.Epoch, temp float64) (proposed, accepted int) {
-	cs := state.clusters[ci]
-	p := len(cs.order)
-	if p < 2 {
-		return 0, 0
-	}
-	i, j, u := proposal(key, ci, p)
+	p := int(state.sizes[ci])
+	hc := clusterKey(key, ci)
+	i, j := proposal(hc, p)
 	if i == j {
 		return 0, 0
 	}
-	if proposeSwap(state, ci, i, j, o, u, ep, temp) {
-		cs.order[i], cs.order[j] = cs.order[j], cs.order[i]
-		return 1, 1
+	prev, next := ci-1, ci+1
+	if prev < 0 {
+		prev = len(state.orders) - 1
 	}
-	return 1, 0
+	if next == len(state.orders) {
+		next = 0
+	}
+	order := state.orders[ci]
+	in := order
+	if o.Mode == ModeNoisySpins {
+		in = corruptOrder(order, p, ep, ci)
+	}
+	// The four MACs of Fig. 5a, memoised per slot pair.
+	delta := state.chip.SwapDelta(ci, in, state.orders[prev].Last(), state.orders[next].First(int(state.sizes[next])), i, j)
+	if !accept(state, ci, delta, o.Mode, hc, temp) {
+		return 1, 0
+	}
+	state.orders[ci] = order.Swap(p, i, j)
+	return 1, 1
 }
 
-// proposeSwap evaluates one swap through the CIM path and decides
-// acceptance per the mode using the pre-drawn uniform u. It does not
-// apply the swap.
-func proposeSwap(state *levelState, ci, i, j int, o *Options, u float64, ep noise.Epoch, temp float64) bool {
-	nc := len(state.clusters)
-	cs := state.clusters[ci]
-	prev := state.clusters[(ci-1+nc)%nc]
-	next := state.clusters[(ci+1)%nc]
-	in := cim.Inputs{Order: cs.order, PrevElem: prev.lastElem(), NextElem: next.firstElem()}
-	if o.Mode == ModeNoisySpins {
-		in = corruptInputs(in, ep, ci, cs)
-	}
-	// The four MACs of Fig. 5a, memoised per slot pair within the epoch.
-	delta := cs.window.SwapDelta(in, i, j)
-	switch o.Mode {
+// accept decides a swap of cluster ci with energy change delta per the
+// mode.
+func accept(state *levelState, ci, delta int, mode Mode, hc uint64, temp float64) bool {
+	switch mode {
 	case ModeNoisyCIM, ModeNoisySpins, ModeGreedy:
 		return delta < 0
 	case ModeMetropolis:
@@ -722,85 +779,54 @@ func proposeSwap(state *levelState, ci, i, j int, o *Options, u float64, ep nois
 		if temp <= 0 {
 			return false
 		}
-		deltaDist := float64(delta) * cs.window.Quant.Scale
-		return u < math.Exp(-deltaDist/temp)
+		deltaDist := float64(delta) * state.chip.Windows[ci].Quant.Scale
+		return acceptUniform(hc) < math.Exp(-deltaDist/temp)
 	default:
 		panic("clustered: unknown mode")
 	}
 }
 
-// corruptInputs applies the spatial spin-noise ablation: each one-hot
-// input bit is read through the fabric with a cell ID from the reserved
-// spin-register namespace (disjoint from every weight-window cell at
-// any cluster count), so the same spins see the same (fixed) errors
-// every cycle — reproducing [4]'s deterministic-trace failure mode. The
-// corrupted order lives in the cluster's spinBuf scratch, so the inner
-// loop stays allocation-free.
-func corruptInputs(in cim.Inputs, ep noise.Epoch, ci int, cs *clusterState) cim.Inputs {
-	cs.spinBuf = append(cs.spinBuf[:0], in.Order...)
-	out := cim.Inputs{Order: cs.spinBuf, PrevElem: in.PrevElem, NextElem: in.NextElem}
-	p := len(out.Order)
+// corruptOrder applies the spatial spin-noise ablation to cluster ci's
+// p-slot order: each one-hot input bit is read through the fabric with
+// a cell ID from the reserved spin-register namespace (disjoint from
+// every weight-window cell at any cluster count), so the same spins see
+// the same (fixed) errors every cycle — reproducing [4]'s
+// deterministic-trace failure mode. The corrupted order is a new word;
+// the stored one is untouched.
+func corruptOrder(order cim.Order, p int, ep noise.Epoch, ci int) cim.Order {
+	var out cim.Order
 	for slot := 0; slot < p; slot++ {
-		id := noise.SpinCellID(ci, slot)
-		if ep.ReadBit(id, 0) != 0 {
+		e := order.Elem(p, slot)
+		if id := noise.SpinCellID(ci, slot); ep.ReadBit(id, 0) != 0 {
 			// The spin register bit misreads: the slot appears to hold a
 			// different (spatially fixed) element.
-			out.Order[slot] = int(id>>3) % p
+			e = int(id>>3) % p
 		}
+		out = out<<3 | cim.Order(e)
 	}
 	return out
 }
 
-// chromaticPhases partitions cluster indices into phases of mutually
-// non-adjacent clusters in the cycle: odd, then even, with a third phase
-// for the final cluster when the count is odd (it would otherwise be
-// adjacent to cluster 0 in the even phase). Empty phases are never
-// emitted: small cluster counts (nc <= 2) produce fewer than three
-// phases rather than zero-length ones that would still be dispatched.
-func chromaticPhases(nc int) [][]int {
-	var odd, even, extra []int
-	for ci := 0; ci < nc; ci++ {
-		switch {
-		case nc%2 == 1 && ci == nc-1:
-			extra = append(extra, ci)
-		case ci%2 == 1:
-			odd = append(odd, ci)
-		default:
-			even = append(even, ci)
-		}
-	}
-	var phases [][]int
-	for _, ph := range [][]int{odd, even, extra} {
-		if len(ph) > 0 {
-			phases = append(phases, ph)
-		}
-	}
-	return phases
-}
-
 // loadWindow loads cluster ci's weight window from the centroid
 // distances of its own, its previous and its next cluster's children to
-// its own children, then applies the precision ablation's mask.
-func loadWindow(state *levelState, ci, weightBits int) {
-	nc := len(state.clusters)
-	cs := state.clusters[ci]
-	own := cs.node.Children
+// its own children. It writes only window ci, so the pool loads a
+// level's windows in parallel.
+func loadWindow(state *levelState, ci int) {
+	nc := len(state.nodes)
+	own := state.nodes[ci].Children
 	// Room for three blocks of up to 8×8 (cluster sizes are capped at 8);
 	// append moves to the heap should a block ever be larger.
 	var buf [3 * 8 * 8]float64
 	dist := buf[:0]
-	for _, nb := range [3]*cluster.Node{cs.node, state.clusters[(ci-1+nc)%nc].node, state.clusters[(ci+1)%nc].node} {
+	for _, nb := range [3]*cluster.Node{state.nodes[ci], state.nodes[(ci-1+nc)%nc], state.nodes[(ci+1)%nc]} {
 		for _, cm := range nb.Children {
 			for _, ck := range own {
 				dist = append(dist, geom.Exact.Dist(cm.Centroid, ck.Centroid))
 			}
 		}
 	}
-	if err := cs.window.Load(dist); err != nil {
+	if err := state.chip.Load(ci, dist); err != nil {
 		// Windows are built from validated clusters; failure is a bug.
 		panic(fmt.Sprintf("clustered: window build: %v", err))
-	}
-	if weightBits > 0 {
-		cs.window.MaskWeights(weightBits)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"cimsa/internal/cluster"
 	"cimsa/internal/heuristics"
 	"cimsa/internal/noise"
+	"cimsa/internal/rng"
 	"cimsa/internal/tsplib"
 )
 
@@ -390,24 +391,87 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
+// chromaticPhases is the reference partition of nc cluster indices
+// into phases of mutually non-adjacent clusters in the cycle: odd, then
+// even, with a third phase for the final cluster when the count is odd
+// (it would otherwise be adjacent to cluster 0 in the even phase).
+// Empty phases are never emitted: small cluster counts (nc <= 2)
+// produce fewer than three phases.
+func chromaticPhases(nc int) [][]int {
+	var odd, even, extra []int
+	for ci := 0; ci < nc; ci++ {
+		switch {
+		case nc%2 == 1 && ci == nc-1:
+			extra = append(extra, ci)
+		case ci%2 == 1:
+			odd = append(odd, ci)
+		default:
+			even = append(even, ci)
+		}
+	}
+	var phases [][]int
+	for _, ph := range [][]int{odd, even, extra} {
+		if len(ph) > 0 {
+			phases = append(phases, ph)
+		}
+	}
+	return phases
+}
+
+// uniformSizes is a level of nc clusters of p children each.
+func uniformSizes(nc, p int) []uint8 {
+	sizes := make([]uint8, nc)
+	for i := range sizes {
+		sizes[i] = uint8(p)
+	}
+	return sizes
+}
+
 // TestPhasesForMatchesChromaticPhases pins the executor's reusable phase
-// buffers to the reference partition.
+// buffers to the reference partition with the clusters that cannot
+// propose (fewer than two children) removed, and empty phases dropped.
 func TestPhasesForMatchesChromaticPhases(t *testing.T) {
 	ex := &executor{workers: 1, shards: make([]statShard, 1)}
+	r := rng.New(9)
 	for _, nc := range []int{1, 2, 3, 4, 5, 8, 9, 17, 100, 101} {
-		want := chromaticPhases(nc)
-		got := ex.phasesFor(nc)
-		if len(got) != len(want) {
-			t.Fatalf("nc=%d: %d phases, want %d", nc, len(got), len(want))
-		}
-		for pi := range want {
-			if len(got[pi]) != len(want[pi]) {
-				t.Fatalf("nc=%d phase %d: len %d, want %d", nc, pi, len(got[pi]), len(want[pi]))
-			}
-			for i := range want[pi] {
-				if got[pi][i] != want[pi][i] {
-					t.Fatalf("nc=%d phase %d: got %v, want %v", nc, pi, got[pi], want[pi])
+		for trial := 0; trial < 8; trial++ {
+			sizes := uniformSizes(nc, 3)
+			if trial > 0 {
+				// Mixed levels, including ones with every cluster of a
+				// phase a singleton.
+				for ci := range sizes {
+					sizes[ci] = uint8(1 + r.Intn(trial%4+1))
 				}
+			}
+			var want [][]int
+			for _, ph := range chromaticPhases(nc) {
+				var kept []int
+				for _, ci := range ph {
+					if sizes[ci] >= 2 {
+						kept = append(kept, ci)
+					}
+				}
+				if len(kept) > 0 {
+					want = append(want, kept)
+				}
+			}
+			checkPhases(t, nc, sizes, ex.phasesFor(sizes), want)
+		}
+	}
+}
+
+func checkPhases(t *testing.T, nc int, sizes []uint8, got, want [][]int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("nc=%d sizes %v: %d phases, want %d", nc, sizes, len(got), len(want))
+	}
+	for pi := range want {
+		if len(got[pi]) != len(want[pi]) {
+			t.Fatalf("nc=%d sizes %v phase %d: len %d, want %d", nc, sizes, pi, len(got[pi]), len(want[pi]))
+		}
+		for i := range want[pi] {
+			if got[pi][i] != want[pi][i] {
+				t.Fatalf("nc=%d sizes %v phase %d: got %v, want %v", nc, sizes, pi, got[pi], want[pi])
 			}
 		}
 	}
@@ -453,8 +517,10 @@ func TestProposalMatchesOneShotHash(t *testing.T) {
 			for iter := 0; iter < 400; iter += 37 {
 				key := iterKey(seed, level, iter)
 				for ci := 0; ci < 40000; ci += 997 {
-					for _, p := range []int{2, 3, 4, 8} {
-						i, j, u := proposal(key, ci, p)
+					for p := 1; p <= 9; p++ {
+						hc := clusterKey(key, ci)
+						i, j := proposal(hc, p)
+						u := acceptUniform(hc)
 						h := referenceCounterHash(seed, uint64(level), uint64(iter), uint64(ci), 0)
 						h2 := referenceCounterHash(seed, uint64(level), uint64(iter), uint64(ci), 1)
 						wi, wj := int(h%uint64(p)), int((h>>24)%uint64(p))
@@ -474,7 +540,9 @@ func TestProposalForProperties(t *testing.T) {
 	// Proposals must be in range and well spread.
 	counts := make(map[[2]int]int)
 	for iter := 0; iter < 3000; iter++ {
-		i, j, u := proposal(iterKey(7, 2, iter), 5, 4)
+		hc := clusterKey(iterKey(7, 2, iter), 5)
+		i, j := proposal(hc, 4)
+		u := acceptUniform(hc)
 		if i < 0 || i >= 4 || j < 0 || j >= 4 {
 			t.Fatalf("proposal out of range: %d,%d", i, j)
 		}
@@ -493,10 +561,10 @@ func TestProposalForProperties(t *testing.T) {
 	}
 	// Different clusters get different streams.
 	key := iterKey(7, 2, 10)
-	i1, j1, _ := proposal(key, 5, 4)
+	i1, j1 := proposal(clusterKey(key, 5), 4)
 	same := 0
 	for ci := 0; ci < 50; ci++ {
-		i2, j2, _ := proposal(key, ci, 4)
+		i2, j2 := proposal(clusterKey(key, ci), 4)
 		if i1 == i2 && j1 == j2 {
 			same++
 		}
@@ -579,9 +647,9 @@ func TestBoundaryTransfersUseActualClusterSizes(t *testing.T) {
 	// 12 clusters span two arrays (WindowsPerArray = 10): links cross
 	// between clusters 9↔10 and, cyclically, 11↔0.
 	sizes := []int{3, 3, 3, 3, 3, 3, 3, 3, 3, 2, 1, 2}
-	state := &levelState{clusters: make([]*clusterState, len(sizes))}
+	state := &levelState{sizes: make([]uint8, len(sizes))}
 	for ci, p := range sizes {
-		state.clusters[ci] = &clusterState{order: make([]int, p)}
+		state.sizes[ci] = uint8(p)
 	}
 	// Crossing fetches pull sizes[10], sizes[9], sizes[0] and sizes[11]:
 	// 1 + 2 + 3 + 2 bits. The provisioned-pMax accounting would claim 12.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cimsa/internal/cim"
 	"cimsa/internal/cluster"
 	"cimsa/internal/noise"
 	"cimsa/internal/tsplib"
@@ -18,16 +19,7 @@ func corruptibleState(t *testing.T) *levelState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := h.Levels[1]
-	state := &levelState{clusters: make([]*clusterState, len(nodes))}
-	for ci, n := range nodes {
-		order := make([]int, len(n.Children))
-		for i := range order {
-			order[i] = i
-		}
-		state.clusters[ci] = &clusterState{node: n, order: order}
-	}
-	return state
+	return newLevelState(h.Levels[1])
 }
 
 func TestValidateClusterOrders(t *testing.T) {
@@ -39,8 +31,8 @@ func TestValidateClusterOrders(t *testing.T) {
 	// A duplicated child index (the shape a lost-update race would
 	// leave behind) must be caught before expansion.
 	victim := -1
-	for ci, cs := range state.clusters {
-		if len(cs.order) >= 2 {
+	for ci, p := range state.sizes {
+		if p >= 2 && p < 8 {
 			victim = ci
 			break
 		}
@@ -48,25 +40,33 @@ func TestValidateClusterOrders(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no multi-child cluster to corrupt")
 	}
-	good := state.clusters[victim].order[0]
-	state.clusters[victim].order[0] = state.clusters[victim].order[1]
+	p := int(state.sizes[victim])
+	good := state.orders[victim]
+	order := good.Unpack(p, nil)
+	order[0] = order[1]
+	state.orders[victim] = cim.PackOrder(order)
 	err := validateClusterOrders(state, 1)
 	if err == nil || !strings.Contains(err.Error(), "not a permutation") {
 		t.Fatalf("duplicate child index not caught: %v", err)
 	}
-	state.clusters[victim].order[0] = good
 
 	// An out-of-range index must be caught too.
-	state.clusters[victim].order[0] = len(state.clusters[victim].node.Children)
+	order = good.Unpack(p, nil)
+	order[0] = p
+	state.orders[victim] = cim.PackOrder(order)
 	if err := validateClusterOrders(state, 1); err == nil {
 		t.Fatal("out-of-range child index not caught")
 	}
-	state.clusters[victim].order[0] = good
 
-	// A truncated order (wrong slot count) must be caught.
-	state.clusters[victim].order = state.clusters[victim].order[:1]
-	if err := validateClusterOrders(state, 1); err == nil {
-		t.Fatal("truncated order not caught")
+	// Bits beyond the cluster's slots (an overflowing pack or a stray
+	// write) must be caught.
+	state.orders[victim] = good | 1<<(3*p)
+	if err := validateClusterOrders(state, 1); err == nil || !strings.Contains(err.Error(), "beyond") {
+		t.Fatalf("stray high bits not caught: %v", err)
+	}
+	state.orders[victim] = good
+	if err := validateClusterOrders(state, 1); err != nil {
+		t.Fatalf("restored state rejected: %v", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cimsa/internal/device"
 	"cimsa/internal/geom"
 	"cimsa/internal/noise"
 )
@@ -75,9 +74,7 @@ func autoWorkers(n, procs int) int {
 // concurrent increments never false-share.
 type statShard struct {
 	proposed, accepted int64
-	writeBacks         int64
-	weightWrites       int64
-	_                  [32]byte
+	_                  [48]byte
 }
 
 type jobKind int
@@ -85,9 +82,9 @@ type jobKind int
 const (
 	// jobUpdatePhase runs updateCluster over job.phase.
 	jobUpdatePhase jobKind = iota
-	// jobRefreshWindows runs the write-back + pseudo-read epoch over
-	// every cluster of job.state.
-	jobRefreshWindows
+	// jobLoadWindows loads the weight window of every cluster of
+	// job.state.
+	jobLoadWindows
 	jobKinds
 )
 
@@ -103,36 +100,13 @@ type poolJob struct {
 	key  uint64
 	opt  *Options
 	temp float64
-	// epoch is the fabric's pre-hoisted pseudo-read pass: the refresh
-	// epoch's for a refresh, the iteration's for the noisy-spins input
-	// corruption (unused by the other modes' updates).
+	// epoch is the iteration's pre-hoisted fabric pass for the
+	// noisy-spins input corruption (unused by the other modes).
 	epoch noise.Epoch
-	// nLSB is the refresh epoch's noisy-LSB count.
-	nLSB int
-	// silent suppresses the refresh work counters: a resume re-applies
-	// the interrupted epoch's refresh to rebuild window state the
-	// restored Stats already paid for.
-	silent bool
 	// grab is the dispatch's cursor grab size (set per dispatch from the
 	// plan, shared by every engaged worker).
 	grab   int64
 	cursor atomic.Int64
-}
-
-// setRefresh points the job at the write-back epoch that starts at
-// iteration iter. Only the noisy-CIM mode reads its weights through the
-// schedule's reduced supply; every other mode refreshes clean (the
-// spin-noise ablation corrupts inputs at proposal time instead). The
-// device model owns the supply-voltage truth: refreshing at its nominal
-// V_DD (rather than a copied literal) keeps the refresh clean even if
-// the technology point changes.
-func (job *poolJob) setRefresh(iter int) {
-	job.kind = jobRefreshWindows
-	vdd, nLSB := device.NominalVDD, 0
-	if job.opt.Mode == ModeNoisyCIM {
-		vdd, nLSB = job.opt.Schedule.At(iter)
-	}
-	job.epoch, job.nLSB = job.opt.Fabric.At(vdd), nLSB
 }
 
 // parkSlot is one goroutine's parking spot in the barrier. A waiter
@@ -172,12 +146,12 @@ func (s *parkSlot) wakeIfParked() {
 const spinWait = 32
 
 // dispatchStep is one planned dispatch: a chromatic phase (or the
-// epoch's window sweep) with its grab size and worker fan-out
+// level's window loads) with its grab size and worker fan-out
 // precomputed, so issuing it from the iteration loop does no sizing
 // arithmetic at all.
 type dispatchStep struct {
 	// phase is the cluster-index list for update steps; nil for the
-	// refresh step, which sweeps every cluster of the level.
+	// load step, which covers every cluster of the level.
 	phase []int
 	items int
 	grab  int64
@@ -188,12 +162,13 @@ type dispatchStep struct {
 	fan int32
 }
 
-// levelPlan is the fused dispatch plan for one level: every dispatch
-// the iteration loop will issue, precomputed once per level and retuned
-// at write-back epochs as the measured per-item costs move.
+// levelPlan is the fused dispatch plan for one level: the window loads
+// and every dispatch the iteration loop will issue, precomputed once per
+// level and retuned at write-back epochs as the measured per-item costs
+// move.
 type levelPlan struct {
-	steps   []dispatchStep
-	refresh dispatchStep
+	steps []dispatchStep
+	load  dispatchStep
 }
 
 type executor struct {
@@ -247,7 +222,7 @@ func newExecutor(o Options, n int) *executor {
 	ex := &executor{workers: w, shards: make([]statShard, w)}
 	ex.run = ex.runJob
 	ex.costNs[jobUpdatePhase] = defaultUpdateCostNs
-	ex.costNs[jobRefreshWindows] = defaultRefreshCostNs
+	ex.costNs[jobLoadWindows] = defaultLoadCostNs
 	if w > 1 {
 		ex.dpark = newParkSlot()
 		ex.parks = make([]*parkSlot, w-1)
@@ -371,8 +346,8 @@ const (
 	// Cost seeds before the first measurement, set from the benchmarked
 	// per-item costs of the reference hardware; only a solve's first
 	// dispatches run on them, every later one uses the measured EMA.
-	defaultUpdateCostNs  = 300
-	defaultRefreshCostNs = 100
+	defaultUpdateCostNs = 300
+	defaultLoadCostNs   = 1000
 )
 
 // grabFor converts the measured per-item cost of a job kind into a
@@ -405,17 +380,18 @@ func (ex *executor) observeCost(kind jobKind, d time.Duration, items int64) {
 	ex.costNs[kind] = ex.costNs[kind]*0.75 + sample*0.25
 }
 
-// planLevel builds the level's fused dispatch plan: the chromatic
-// phases plus the refresh sweep, each with grab and fan-out resolved.
-// The iteration loop then issues steps with no per-phase setup work.
-func (ex *executor) planLevel(nc int) {
-	phases := ex.phasesFor(nc)
+// planLevel builds the fused dispatch plan of a level whose clusters
+// have the given sizes: the window loads plus the chromatic phases,
+// each with grab and fan-out resolved. The iteration loop then issues
+// steps with no per-phase setup work.
+func (ex *executor) planLevel(sizes []uint8) {
+	phases := ex.phasesFor(sizes)
 	steps := ex.plan.steps[:0]
 	for _, ph := range phases {
 		steps = append(steps, dispatchStep{phase: ph, items: len(ph)})
 	}
 	ex.plan.steps = steps
-	ex.plan.refresh = dispatchStep{items: nc}
+	ex.plan.load = dispatchStep{items: len(sizes)}
 	ex.retune()
 }
 
@@ -427,7 +403,7 @@ func (ex *executor) retune() {
 	for i := range ex.plan.steps {
 		ex.tuneStep(&ex.plan.steps[i], jobUpdatePhase)
 	}
-	ex.tuneStep(&ex.plan.refresh, jobRefreshWindows)
+	ex.tuneStep(&ex.plan.load, jobLoadWindows)
 }
 
 // tuneStep sizes one dispatch: the grab from the measured per-item
@@ -466,14 +442,6 @@ func (ex *executor) runStep(job *poolJob, st *dispatchStep) {
 	ex.awaitPending()
 }
 
-// dispatch sizes and runs an ad-hoc job outside the level plan (the
-// resume path's window rebuild); planned dispatches go through runStep.
-func (ex *executor) dispatch(job *poolJob, items int) {
-	st := dispatchStep{phase: job.phase, items: items}
-	ex.tuneStep(&st, job.kind)
-	ex.runStep(job, &st)
-}
-
 // runJob processes chunks of the job until the cursor is exhausted,
 // accumulating counters into worker w's shard. Worker 0 times its
 // first chunk to keep the per-item cost estimate current.
@@ -488,8 +456,8 @@ func (ex *executor) runJob(w int, job *poolJob) {
 	switch job.kind {
 	case jobUpdatePhase:
 		n = int64(len(job.phase))
-	case jobRefreshWindows:
-		n = int64(len(job.state.clusters))
+	case jobLoadWindows:
+		n = int64(len(job.state.nodes))
 	}
 	for {
 		end := job.cursor.Add(grab)
@@ -511,13 +479,9 @@ func (ex *executor) runJob(w int, job *poolJob) {
 				sh.proposed += int64(prop)
 				sh.accepted += int64(acc)
 			}
-		case jobRefreshWindows:
-			for _, cs := range job.state.clusters[start:end] {
-				cs.window.WriteBack(job.epoch, job.nLSB)
-				if !job.silent {
-					sh.writeBacks++
-					sh.weightWrites += int64(cs.window.Rows() * cs.window.Cols())
-				}
+		case jobLoadWindows:
+			for ci := start; ci < end; ci++ {
+				loadWindow(job.state, int(ci))
 			}
 		}
 		if measure {
@@ -534,49 +498,49 @@ func (ex *executor) mergeShards(stats *Stats) {
 		sh := &ex.shards[i]
 		stats.Proposed += sh.proposed
 		stats.Accepted += sh.accepted
-		stats.WriteBacks += sh.writeBacks
-		stats.WeightWrites += sh.weightWrites
 		*sh = statShard{}
 	}
 }
 
-// phasesFor returns the chromatic phases for nc clusters, reusing the
-// executor's backing storage across levels. The contents are identical
-// to chromaticPhases(nc); empty phases are never emitted (nc <= 2
-// produces fewer than the usual odd/even/extra three).
-func (ex *executor) phasesFor(nc int) [][]int {
+// phasesFor returns the chromatic phases of a level whose clusters
+// have the given sizes, reusing the executor's backing storage across
+// levels: odd, then even, with a third phase for the final cluster when
+// the count is odd (it would otherwise be adjacent to cluster 0 in the
+// even phase). Clusters of fewer than two children are left out — they
+// never propose, and their randomness is a counter hash keyed on the
+// cluster index, so skipping them consumes nothing — and empty phases
+// are never emitted.
+func (ex *executor) phasesFor(sizes []uint8) [][]int {
+	nc := len(sizes)
 	if cap(ex.phaseIdx) < nc {
 		ex.phaseIdx = make([]int, 0, nc)
 	}
-	// Same partition as chromaticPhases — odd, even, then the odd-count
-	// extra — laid out contiguously in one backing array.
+	// Odd, even, then the odd-count extra, laid out contiguously in one
+	// backing array.
 	idx := ex.phaseIdx[:0]
-	hasExtra := nc%2 == 1
-	last := nc
-	if hasExtra {
-		last = nc - 1
+	last := nc - nc%2
+	add := func(ci int) {
+		if sizes[ci] >= 2 {
+			idx = append(idx, ci)
+		}
 	}
 	for ci := 1; ci < last; ci += 2 {
-		idx = append(idx, ci)
+		add(ci)
 	}
 	oddEnd := len(idx)
 	for ci := 0; ci < last; ci += 2 {
-		idx = append(idx, ci)
+		add(ci)
 	}
 	evenEnd := len(idx)
-	if hasExtra {
-		idx = append(idx, nc-1)
+	if last < nc {
+		add(nc - 1)
 	}
 	ex.phaseIdx = idx
 	phases := ex.phases[:0]
-	if oddEnd > 0 {
-		phases = append(phases, idx[:oddEnd])
-	}
-	if evenEnd > oddEnd {
-		phases = append(phases, idx[oddEnd:evenEnd])
-	}
-	if hasExtra {
-		phases = append(phases, idx[evenEnd:])
+	for _, ph := range [3][]int{idx[:oddEnd], idx[oddEnd:evenEnd], idx[evenEnd:]} {
+		if len(ph) > 0 {
+			phases = append(phases, ph)
+		}
 	}
 	ex.phases = phases
 	return phases
@@ -588,9 +552,10 @@ func (ex *executor) phasesFor(nc int) [][]int {
 // so trace recording does not allocate inside the iteration loop.
 func (ex *executor) levelObjective(state *levelState) float64 {
 	pts := ex.objPts[:0]
-	for _, cs := range state.clusters {
-		for _, childIdx := range cs.order {
-			pts = append(pts, cs.node.Children[childIdx].Centroid)
+	for ci, n := range state.nodes {
+		p := int(state.sizes[ci])
+		for s := 0; s < p; s++ {
+			pts = append(pts, n.Children[state.orders[ci].Elem(p, s)].Centroid)
 		}
 	}
 	ex.objPts = pts

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cimsa/internal/cluster"
 	"cimsa/internal/tsplib"
 )
 
@@ -313,8 +314,8 @@ func TestBarrierManyDispatches(t *testing.T) {
 func TestMergeShardsInt64(t *testing.T) {
 	ex := &executor{workers: 2, shards: make([]statShard, 2)}
 	big := int64(math.MaxInt32) + 7
-	ex.shards[0] = statShard{proposed: big, accepted: big - 1, writeBacks: big - 2, weightWrites: big - 3}
-	ex.shards[1] = statShard{proposed: 10, accepted: 20, writeBacks: 30, weightWrites: 40}
+	ex.shards[0] = statShard{proposed: big, accepted: big - 1}
+	ex.shards[1] = statShard{proposed: 10, accepted: 20}
 	var stats Stats
 	ex.mergeShards(&stats)
 	if stats.Proposed != big+10 {
@@ -322,12 +323,6 @@ func TestMergeShardsInt64(t *testing.T) {
 	}
 	if stats.Accepted != big-1+20 {
 		t.Errorf("Accepted = %d, want %d", stats.Accepted, big-1+20)
-	}
-	if stats.WriteBacks != big-2+30 {
-		t.Errorf("WriteBacks = %d, want %d", stats.WriteBacks, big-2+30)
-	}
-	if stats.WeightWrites != big-3+40 {
-		t.Errorf("WeightWrites = %d, want %d", stats.WeightWrites, big-3+40)
 	}
 	for i := range ex.shards {
 		if ex.shards[i] != (statShard{}) {
@@ -354,7 +349,7 @@ func TestPhasesSmallCounts(t *testing.T) {
 	ex := &executor{workers: 1, shards: make([]statShard, 1)}
 	for nc := 0; nc <= 5; nc++ {
 		ref := chromaticPhases(nc)
-		got := ex.phasesFor(nc)
+		got := ex.phasesFor(uniformSizes(nc, 3))
 		want := wantPhases[nc]
 		if len(got) != len(want) || len(ref) != len(want) {
 			t.Fatalf("nc=%d: phasesFor has %d phases, chromaticPhases %d, want %d",
@@ -397,6 +392,48 @@ func TestPhasesSmallCounts(t *testing.T) {
 			last := want[len(want)-1]
 			if len(last) != 1 || last[0] != nc-1 {
 				t.Fatalf("nc=%d: odd-count extra phase is %v, want [%d]", nc, last, nc-1)
+			}
+		}
+	}
+}
+
+// TestUpdateIterationAllocatesNothing pins the hot loop's allocation
+// budget at zero: once a level is built, one update iteration — every
+// chromatic phase, inline or on the pool — and a write-back allocate
+// nothing, in every mode.
+func TestUpdateIterationAllocatesNothing(t *testing.T) {
+	in := tsplib.Generate("allocs", 3000, tsplib.StyleClustered, 5)
+	h, err := cluster.Build(in.Cities, cluster.Strategy{Kind: cluster.SemiFlex, P: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{ModeNoisyCIM, ModeMetropolis, ModeNoisySpins} {
+		for _, workers := range []int{1, 2} {
+			o := solveOpts(mode, 3).withDefaults()
+			o.Workers = workers
+			ex := newExecutor(o, in.N())
+			state := newLevelState(h.Levels[1])
+			ex.buildLevel(state, &o)
+			ep, nLSB := writeBackEpoch(&o, 0)
+			state.chip.WriteBack(ep, nLSB)
+			job := &ex.job
+			job.temp = metropolisTemp(state)
+			job.epoch = ep
+			iter := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				state.chip.WriteBack(ep, nLSB)
+				job.kind = jobUpdatePhase
+				job.key = iterKey(o.Seed, 1, iter)
+				for si := range ex.plan.steps {
+					st := &ex.plan.steps[si]
+					job.phase = st.phase
+					ex.runStep(job, st)
+				}
+				iter++
+			})
+			ex.close()
+			if allocs != 0 {
+				t.Errorf("%v workers=%d: %v allocations per update iteration, want 0", mode, workers, allocs)
 			}
 		}
 	}

@@ -100,18 +100,10 @@ func expandWithOrders(nodes []*cluster.Node, orders [][]int, level int) ([]*clus
 	}
 	var out []*cluster.Node
 	for ci, n := range nodes {
-		p := len(n.Children)
-		if len(orders[ci]) != p {
-			return nil, fmt.Errorf("level %d cluster %d order has %d slots for %d children",
-				level, ci, len(orders[ci]), p)
+		if err := checkOrder(orders[ci], len(n.Children)); err != nil {
+			return nil, fmt.Errorf("level %d cluster %d %w", level, ci, err)
 		}
-		seen := make([]bool, p)
 		for _, childIdx := range orders[ci] {
-			if childIdx < 0 || childIdx >= p || seen[childIdx] {
-				return nil, fmt.Errorf("level %d cluster %d order is not a permutation: %v",
-					level, ci, orders[ci])
-			}
-			seen[childIdx] = true
 			out = append(out, n.Children[childIdx])
 		}
 	}
@@ -141,16 +133,12 @@ type snapshotter struct {
 // current iteration boundary.
 func (sn *snapshotter) snap(state *levelState, level, iter int, flush bool) error {
 	sn.ex.mergeShards(sn.stats)
-	orders := make([][]int, len(state.clusters))
-	for ci, cs := range state.clusters {
-		orders[ci] = append([]int(nil), cs.order...)
-	}
 	s := &Snapshot{
 		TopOrder: append([]int(nil), sn.topOrder...),
 		Done:     sn.done[:len(sn.done):len(sn.done)],
 		Level:    level,
 		Iter:     iter,
-		Orders:   orders,
+		Orders:   state.unpackOrders(),
 		Stats:    *sn.stats,
 		Flush:    flush,
 	}
@@ -163,9 +151,5 @@ func (sn *snapshotter) snap(state *levelState, level, iter int, flush bool) erro
 // finishLevel records a completed level's final orders for the Done
 // section of later snapshots.
 func (sn *snapshotter) finishLevel(state *levelState) {
-	orders := make([][]int, len(state.clusters))
-	for ci, cs := range state.clusters {
-		orders[ci] = append([]int(nil), cs.order...)
-	}
-	sn.done = append(sn.done, orders)
+	sn.done = append(sn.done, state.unpackOrders())
 }

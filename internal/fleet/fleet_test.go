@@ -874,3 +874,52 @@ func TestReclaimVoidsPendingCancel(t *testing.T) {
 		t.Fatalf("heartbeat after re-claim cancels %v; the lost claim's cancel must not reach the new one", cancels)
 	}
 }
+
+// panicTask is a task whose solve panics on the worker.
+type panicTask struct{ problem.Task }
+
+func (panicTask) Solve(context.Context, problem.Run) (*problem.Result, error) {
+	var m map[string]int
+	m["boom"]++ // a nil-map write: a runtime panic, not a returned error
+	return nil, nil
+}
+
+// TestWorkerPanicFailsJob: a solve that panics on a fleet worker
+// settles that job as failed on the coordinator instead of killing the
+// worker, which goes on to complete the next job.
+func TestWorkerPanicFailsJob(t *testing.T) {
+	coord := fleet.NewCoordinator(fleet.Config{Lease: time.Minute, Logf: t.Logf})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w, err := fleet.NewWorker(fleet.WorkerConfig{
+		Node:      "panicky",
+		Transport: coord,
+		BuildTask: func(source json.RawMessage) (problem.Task, error) {
+			task, err := buildTask(source)
+			if err == nil && strings.Contains(string(source), "boom") {
+				task = panicTask{task}
+			}
+			return task, err
+		},
+		ScratchDir:     t.TempDir(),
+		HeartbeatEvery: 5 * time.Millisecond,
+		PollEvery:      2 * time.Millisecond,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, ctx, w)
+	boom := strings.Replace(tspSource, "fleet-test", "fleet-boom", 1)
+	_, err = coord.Offer(ctx, fleet.Job{ID: "boom", Problem: "tsp", Source: json.RawMessage(boom)}, problem.Run{})
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking job settled with %v, want the panic as its failure", err)
+	}
+	res, err := coord.Offer(ctx, fleet.Job{ID: "next", Problem: "tsp", Source: json.RawMessage(tspSource)}, problem.Run{})
+	if err != nil || res == nil {
+		t.Fatalf("job after the panic: %v, %v", res, err)
+	}
+	if s := w.Stats(); s.Failed != 1 || s.Completed != 1 {
+		t.Fatalf("worker stats %+v, want one failed and one completed", s)
+	}
+}

@@ -278,7 +278,11 @@ func (w *Worker) solveIn(ctx context.Context, g *Grant, scratch string, allowRet
 		},
 		OnCheckpointResume: func(string) { w.resumed.Add(1) },
 	}
-	res, err := task.Solve(ctx, run)
+	// A panicking solve is settled as this job's failure instead of
+	// killing the worker.
+	res, err := problem.SolveRecovering(w.cfg.Logf, fmt.Sprintf("fleet worker %s: job %s", w.cfg.Node, g.JobID), func() (*problem.Result, error) {
+		return task.Solve(ctx, run)
+	})
 	if err != nil {
 		if allowRetry && (errors.Is(err, checkpoint.ErrInvalid) || errors.Is(err, checkpoint.ErrMismatch)) {
 			// The shipped snapshot doesn't match this job (version skew or a

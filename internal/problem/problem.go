@@ -16,9 +16,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"math"
+	"runtime/debug"
 	"sort"
 	"sync"
 
@@ -73,6 +75,27 @@ type Result struct {
 	Iterations int `json:"iterations,omitempty"`
 	// Detail is the full problem-specific report.
 	Detail any `json:"detail,omitempty"`
+}
+
+// ErrPanicked marks a solve that panicked and was recovered at the
+// service boundary (see SolveRecovering).
+var ErrPanicked = errors.New("solve panicked")
+
+// SolveRecovering calls solve and turns a panic inside it into an
+// error wrapping ErrPanicked, logging the panic value and stack through
+// logf under the given prefix. The service boundary (the scheduler and
+// the fleet worker) runs every solve through it, so one bad job fails
+// instead of taking the process down; code below that boundary still
+// panics, so tests still fail loudly on one. Only panics on the calling
+// goroutine are recovered.
+func SolveRecovering(logf func(format string, args ...any), prefix string, solve func() (*Result, error)) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			logf("%s: solve panicked: %v\n%s", prefix, p, debug.Stack())
+			res, err = nil, fmt.Errorf("%w: %v", ErrPanicked, p)
+		}
+	}()
+	return solve()
 }
 
 // Task is one validated, solvable unit: an instance bound to its solve

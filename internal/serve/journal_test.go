@@ -728,3 +728,68 @@ func TestJournalCompactionPreservesOutstandingClaims(t *testing.T) {
 		t.Fatalf("second compaction changed the entries: %+v", entries)
 	}
 }
+
+// TestPanickingSolveFailsJob: a solve that panics fails its job instead
+// of the server. The job settles as failed with the panic in its error,
+// the stack goes to the log, the failure is counted, the next job still
+// completes, and the failed job's journal record is retired, so a
+// restart does not replay it.
+func TestPanickingSolveFailsJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, _ := openTestJournal(t, path)
+	var calls atomic.Int64
+	solve := func(ctx context.Context, task problem.Task, run problem.Run) (*problem.Result, error) {
+		calls.Add(1)
+		if task.Label() == "boom" {
+			var m map[string]int
+			m["boom"]++ // a nil-map write: a runtime panic, not a returned error
+		}
+		return &problem.Result{Problem: task.Problem(), Instance: task.Label(), N: task.Size()}, nil
+	}
+	var stackLogged atomic.Bool
+	logf := func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		if strings.Contains(msg, "solve panicked") && strings.Contains(msg, "goroutine") {
+			stackLogged.Store(true)
+		}
+		t.Log(msg)
+	}
+	s := NewScheduler(Config{Journal: j, Solve: solve, Logf: logf})
+	submit := func(name string) *Job {
+		t.Helper()
+		in := cimsa.GenerateInstance(name, 50, 1)
+		job, err := s.Submit(Spec{Task: tspprob.New(in, cimsa.Options{SkipHardware: true}), Source: jobRequest(t, 50)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	st := waitTerminal(t, submit("boom"))
+	if st.State != StateFailed || !strings.Contains(st.Error, "panicked") {
+		t.Fatalf("panicking job ended %s (%q), want failed with the panic", st.State, st.Error)
+	}
+	if !stackLogged.Load() {
+		t.Fatal("the panic's stack was not logged")
+	}
+	if st := waitTerminal(t, submit("fine")); st.State != StateDone {
+		t.Fatalf("job after the panic ended %s: %s", st.State, st.Error)
+	}
+	if got := s.Metrics.Failed.Load(); got != 1 {
+		t.Fatalf("failed counter = %d, want 1", got)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	j2, entries := openTestJournal(t, path)
+	if len(entries) != 0 {
+		t.Fatalf("journal still holds %d live jobs after the panic: %+v", len(entries), entries)
+	}
+	s2 := NewScheduler(Config{Journal: j2, Solve: solve, Logf: t.Logf})
+	defer s2.Shutdown(context.Background())
+	before := calls.Load()
+	if got := NewServer(s2).Recover(entries); got != 0 || calls.Load() != before {
+		t.Fatalf("restart re-ran %d jobs (%d solves)", got, calls.Load()-before)
+	}
+}

@@ -629,8 +629,16 @@ func (s *Scheduler) run(job *Job, key string) {
 			return s.cfg.Fleet.Offer(ctx, fj, run)
 		}
 	}
+	// A panicking solve fails this job instead of the process: the job
+	// settles as failed below, and so is retired from the journal like
+	// any other failure rather than replayed on the next boot.
+	guarded := func() (*problem.Result, error) {
+		return problem.SolveRecovering(s.cfg.Logf, "job "+job.ID, func() (*problem.Result, error) {
+			return solve(job.ctx, task, run)
+		})
+	}
 	start := s.cfg.Now()
-	res, err := solve(job.ctx, task, run)
+	res, err := guarded()
 	if err != nil && run.CheckpointDir != "" &&
 		(errors.Is(err, checkpoint.ErrInvalid) || errors.Is(err, checkpoint.ErrMismatch)) {
 		// The checkpoint this job left behind is unusable (corrupt file,
@@ -642,7 +650,7 @@ func (s *Scheduler) run(job *Job, key string) {
 		if rerr := os.RemoveAll(run.CheckpointDir); rerr != nil {
 			s.cfg.Logf("job %s: discarding checkpoint: %v", job.ID, rerr)
 		}
-		res, err = solve(job.ctx, task, run)
+		res, err = guarded()
 	}
 	elapsed := s.cfg.Now().Sub(start)
 
