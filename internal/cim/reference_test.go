@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cimsa/internal/fixed"
+	"cimsa/internal/noise"
 )
 
 // The window's test references: the per-cell observed and written
@@ -79,7 +80,7 @@ func (w testWindow) Weight(row, col int) uint8 {
 	if w.nLSB <= 0 {
 		return w.CleanWeight(row, col)
 	}
-	return w.observed(w.Window, w.cells+col*w.Rows(), row, col)
+	return w.observed(w.cells+col*w.Rows(), noise.CellID(w.Index, 0, col, 0), row)
 }
 
 // CleanWeight returns the written code.

@@ -283,14 +283,15 @@ func (l *Level) WriteBack(ep noise.Epoch, nLSB int) {
 	l.epoch, l.nLSB = ep, nLSB
 }
 
-// observed returns the code a noisy epoch shows at cell (row, col) of
-// win, pseudo-reading the cell on its first use; base is the column's
-// offset in the level's cells, win.cells + col*Rows().
-func (l *Level) observed(win *Window, base, row, col int) uint8 {
+// observed returns the code a noisy epoch shows at row row of one
+// window column, pseudo-reading the cell on its first use. base is the
+// column's offset in the level's cells, win.cells + col*Rows(), and id
+// its row-0 cell ID, noise.CellID(win.Index, 0, col, 0).
+func (l *Level) observed(base int, id uint64, row int) uint8 {
 	if v := l.seen[base+row]; v != 0 {
 		return uint8(v)
 	}
-	code := l.epoch.ReadCode(l.clean[base+row], noise.CellID(win.Index, row, col, 0), l.nLSB)
+	code := l.epoch.ReadCode(l.clean[base+row], id|uint64(row)<<noise.CellRowShift, l.nLSB)
 	l.seen[base+row] = seenTag | uint16(code)
 	return code
 }
@@ -368,12 +369,21 @@ func (l *Level) swapDelta(win *Window, order Order, prevElem, nextElem, i, j int
 		}
 		return after - before
 	}
+	// One checked cell ID per miss: Load bounds the rows and columns
+	// (P <= maxP), so every cell's ID is this base offset by its row
+	// and column.
+	id := noise.CellID(win.Index, 0, 0, 0)
+	col := func(c int) (int, uint64) { return win.cells + c*n, id | uint64(c)<<noise.CellColShift }
+	ikBase, ikID := col(ik)
+	jmBase, jmID := col(jm)
 	for _, r := range rows {
-		before += int(l.observed(win, win.cells+ik*n, r, ik)) + int(l.observed(win, win.cells+jm*n, r, jm))
+		before += int(l.observed(ikBase, ikID, r)) + int(l.observed(jmBase, jmID, r))
 	}
 	rows[i], rows[j] = im, jk
+	imBase, imID := col(im)
+	jkBase, jkID := col(jk)
 	for _, r := range rows {
-		after += int(l.observed(win, win.cells+im*n, r, im)) + int(l.observed(win, win.cells+jk*n, r, jk))
+		after += int(l.observed(imBase, imID, r)) + int(l.observed(jkBase, jkID, r))
 	}
 	return after - before
 }

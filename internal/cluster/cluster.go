@@ -97,16 +97,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// MaxElements returns the largest cluster size the strategy can produce.
-func (s Strategy) MaxElements() int {
-	switch s.Kind {
-	case Arbitrary:
-		return arbitraryMaxSize
-	default:
-		return s.P
-	}
-}
-
 // arbitraryMaxSize caps cluster sizes for the Arbitrary strategy so the
 // per-cluster annealing state stays small; the Lagrangian segmentation
 // rarely reaches it.
@@ -289,21 +279,26 @@ func fixedSizes(n, p int) []int {
 
 // segmenter chooses segment sizes 1..pMax over one level's sorted
 // elements to minimize total within-segment path length plus lambda per
-// segment (lambda = 0 leaves the count free). The path prefix sums and
-// the DP tables depend only on the elements, so targetSizes' fifty
-// Lagrangian probes share one segmenter and allocate nothing.
+// segment (lambda = 0 leaves the count free). The within-segment path
+// lengths depend only on the elements, so they are computed once and
+// shared by targetSizes' fifty Lagrangian probes, which allocate
+// nothing.
 type segmenter struct {
 	pMax int
-	// prefix[i] is the path length from element 0 through element i-1
-	// along the sorted order.
-	prefix []float64
-	// best[i] is the minimum cost to segment the first i elements,
-	// count[i] that optimum's segment count and choice[i] its last
-	// segment's size.
-	best   []float64
-	count  []int
-	choice []int
+	// total is the path length from the first element to the last along
+	// the sorted order.
+	total float64
+	// intra[(i-1)*(pMax-1)+sz-2] is the internal path length of the
+	// size-sz segment that ends at element i-1, prefix[i] −
+	// prefix[i−sz+1] over the path prefix sums, for sz = 2..pMax; 0
+	// where such a segment would start before element 0. A singleton's
+	// is exactly 0, so it is not stored.
+	intra []float64
 }
+
+// maxSegment is the largest pMax, Validate's cap on P and
+// arbitraryMaxSize. It sizes run's ring of DP states, a power of two.
+const maxSegment = 8
 
 func newSegmenter(sorted []*Node, pMax int) *segmenter {
 	n := len(sorted)
@@ -311,42 +306,74 @@ func newSegmenter(sorted []*Node, pMax int) *segmenter {
 	for i := 1; i < n; i++ {
 		prefix[i+1] = prefix[i] + geom.Exact.Dist(sorted[i-1].Centroid, sorted[i].Centroid)
 	}
-	return &segmenter{
-		pMax:   pMax,
-		prefix: prefix,
-		best:   make([]float64, n+1),
-		count:  make([]int, n+1),
-		choice: make([]int, n+1),
+	w := pMax - 1
+	intra := make([]float64, n*w)
+	for i := 1; i <= n; i++ {
+		for sz := 2; sz <= min(pMax, i); sz++ {
+			intra[(i-1)*w+sz-2] = prefix[i] - prefix[i-sz+1]
+		}
 	}
+	return &segmenter{pMax: pMax, total: prefix[n], intra: intra}
 }
 
-// run fills the DP tables for penalty lambda and returns the optimal
-// segment count. Ties go to the smallest last segment.
-func (s *segmenter) run(lambda float64) int {
-	n := len(s.prefix) - 1
-	prefix, best, count, choice := s.prefix, s.best, s.count, s.choice
+// run solves the DP for penalty lambda and returns the optimal segment
+// count. The optimum over the first i elements is the cheapest of
+// (best[i−sz] + intra) + lambda over sz = 1..pMax, scanned in ascending
+// size from +Inf with a strict <, so ties go to the smallest last
+// segment; a singleton's intra is exactly 0, so its cost is best[i−1]
+// + lambda. Only the last pMax optima are live, so they stay in a
+// stack ring, and the newest also in prev: a probe writes no memory
+// but its locals. Every cost is non-negative, so comparing IEEE bits
+// as integers orders costs as the floats do, and the selection
+// compiles to conditional moves rather than data-dependent branches.
+// When choice is non-nil, run also records each prefix's last segment
+// size in choice[i] for sizes to backtrack.
+func (s *segmenter) run(lambda float64, choice []uint8) int {
+	const ring = maxSegment - 1
+	w := s.pMax - 1
+	n := len(s.intra) / w
+	inf := math.Float64bits(math.Inf(1))
+	// best[i&ring] and count[i&ring] hold the optimum over the first i
+	// elements; slots of prefixes before the first are +Inf, so a
+	// segment that would start there never wins.
+	var best [maxSegment]float64
+	var count [maxSegment]int
+	for k := 1; k < maxSegment; k++ {
+		best[k] = math.Inf(1)
+	}
+	prev, prevCount := 0.0, 0
 	for i := 1; i <= n; i++ {
-		b, c, ch := math.Inf(1), 0, 0
-		for sz := 1; sz <= min(s.pMax, i); sz++ {
-			// Segment covers elements [i-sz, i); its internal path length
-			// is prefix[i] - prefix[i-sz+1].
-			intra := prefix[i] - prefix[i-sz+1]
-			cost := best[i-sz] + intra + lambda
+		in := s.intra[(i-1)*w : i*w : i*w]
+		b, c, ch := inf, 0, 0
+		if cost := math.Float64bits(prev + lambda); cost < b {
+			b, c, ch = cost, prevCount+1, 1
+		}
+		for sz := 2; sz <= len(in)+1; sz++ {
+			k := (i - sz) & ring
+			// Loading count before the comparison keeps the branch
+			// body free of memory reads, which conditional moves need.
+			cost, cc := math.Float64bits(best[k]+in[sz-2]+lambda), count[k]+1
 			if cost < b {
-				b, c, ch = cost, count[i-sz]+1, sz
+				b, c, ch = cost, cc, sz
 			}
 		}
-		best[i], count[i], choice[i] = b, c, ch
+		prev, prevCount = math.Float64frombits(b), c
+		best[i&ring], count[i&ring] = prev, c
+		if choice != nil {
+			choice[i] = uint8(ch)
+		}
 	}
-	return count[n]
+	return prevCount
 }
 
-// sizes backtracks the last run's segment sizes, in order.
-func (s *segmenter) sizes() []int {
-	n := len(s.prefix) - 1
-	sizes := make([]int, s.count[n])
-	for i, k := n, len(sizes)-1; i > 0; i, k = i-s.choice[i], k-1 {
-		sizes[k] = s.choice[i]
+// sizes runs the DP for lambda once more, recording choices, and
+// backtracks its segment sizes, in order.
+func (s *segmenter) sizes(lambda float64) []int {
+	n := len(s.intra) / (s.pMax - 1)
+	choice := make([]uint8, n+1)
+	sizes := make([]int, s.run(lambda, choice))
+	for i, k := n, len(sizes)-1; i > 0; i, k = i-int(choice[i]), k-1 {
+		sizes[k] = int(choice[i])
 	}
 	return sizes
 }
@@ -364,17 +391,16 @@ func targetSizes(sorted []*Node, maxSize, target int) []int {
 	seg := newSegmenter(sorted, maxSize)
 	// With lambda larger than the total path length, merging always pays,
 	// so the count reaches its minimum; lambda 0 gives all singletons.
-	lo, hi := 0.0, seg.prefix[n]+1
+	lo, hi := 0.0, seg.total+1
 	for iter := 0; iter < 50; iter++ {
 		mid := (lo + hi) / 2
-		if seg.run(mid) > target {
+		if seg.run(mid, nil) > target {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	seg.run(hi)
-	return seg.sizes()
+	return seg.sizes(hi)
 }
 
 // ProvisionedWeights returns the number of 8-bit weights the hardware

@@ -1,7 +1,9 @@
 package clustered
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -80,7 +82,7 @@ type statShard struct {
 type jobKind int
 
 const (
-	// jobUpdatePhase runs updateCluster over job.phase.
+	// jobUpdatePhase runs updatePhase over job.phase.
 	jobUpdatePhase jobKind = iota
 	// jobLoadWindows loads the weight window of every cluster of
 	// job.state.
@@ -197,6 +199,10 @@ type executor struct {
 	// run executes one worker's share of a job; it is runJob except in
 	// barrier tests, which substitute a counting stub.
 	run func(w int, job *poolJob)
+	// panicked holds the first panic a background worker recovered
+	// since the dispatcher last checked; runStep re-raises it on the
+	// solve goroutine.
+	panicked atomic.Pointer[workerPanic]
 
 	// costNs is the measured per-item cost of each job kind (an EMA over
 	// first-chunk timings, worker 0 only, so no synchronization); plan
@@ -264,27 +270,67 @@ func (ex *executor) close() {
 // workerLoop is one background worker: wait for the generation to
 // advance, run a share of the job if engaged, repeat. A worker the
 // dispatch did not engage pays two atomic loads — not a scheduler
-// wake-up — and goes straight back to waiting.
+// wake-up — and goes straight back to waiting. A panic in a job does
+// not end the process: serve recovers it, and the worker serves on.
 func (ex *executor) workerLoop(w int) {
-	slot := ex.parks[w-1]
 	var seen uint64
+	for !ex.serve(w, &seen) {
+		// serve recovered a job's panic; keep serving.
+	}
+}
+
+// serve runs worker w's loop until the pool closes, and then reports
+// true. If a job panics, serve records the first such panic for runStep
+// to re-raise, completes the worker's share of the barrier and reports
+// false. The recover is armed once per serve call, not once per job,
+// and seen outlives the call, so the job that panicked never runs
+// again.
+func (ex *executor) serve(w int, seen *uint64) (closed bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			ex.panicked.CompareAndSwap(nil, &workerPanic{worker: w, value: v, stack: debug.Stack()})
+			ex.done()
+		}
+	}()
+	slot := ex.parks[w-1]
 	for {
 		g := ex.gen.Load()
 		if ex.closed.Load() {
-			return
+			return true
 		}
-		if g == seen {
-			ex.waitGen(slot, seen)
+		if g == *seen {
+			ex.waitGen(slot, *seen)
 			continue
 		}
-		seen = g
+		*seen = g
 		if uint64(w) <= g&(1<<genFanBits-1) {
 			ex.run(w, &ex.job)
-			if ex.pending.Add(-1) == 0 {
-				ex.dpark.wakeIfParked()
-			}
+			ex.done()
 		}
 	}
+}
+
+// done marks one engaged background worker's share of the current
+// dispatch finished, waking the dispatcher after the last one.
+func (ex *executor) done() {
+	if ex.pending.Add(-1) == 0 {
+		ex.dpark.wakeIfParked()
+	}
+}
+
+// workerPanic is a panic recovered on a background worker, with the
+// worker's stack at the panic.
+type workerPanic struct {
+	worker int
+	value  any
+	stack  []byte
+}
+
+// Error reports the panic value and the worker's stack: runStep
+// re-raises the panic on the solve goroutine, whose own stack does not
+// show where the worker failed.
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("clustered: pool worker %d panicked: %v\n%s", p.worker, p.value, p.stack)
 }
 
 // waitGen blocks worker w until the generation moves past seen: a
@@ -425,7 +471,9 @@ func (ex *executor) tuneStep(st *dispatchStep, kind jobKind) {
 
 // runStep executes one planned dispatch and blocks until every item is
 // processed. Steps with no fan-out run entirely on the dispatching
-// goroutine: no atomics beyond the cursor, no barrier traffic.
+// goroutine: no atomics beyond the cursor, no barrier traffic. A panic
+// that a background worker recovered during the dispatch is re-raised
+// here, on the solve goroutine, once every engaged worker is done.
 func (ex *executor) runStep(job *poolJob, st *dispatchStep) {
 	job.grab = st.grab
 	job.cursor.Store(0)
@@ -440,6 +488,9 @@ func (ex *executor) runStep(job *poolJob, st *dispatchStep) {
 	}
 	ex.run(0, job)
 	ex.awaitPending()
+	if p := ex.panicked.Swap(nil); p != nil {
+		panic(p)
+	}
 }
 
 // runJob processes chunks of the job until the cursor is exhausted,
@@ -474,11 +525,9 @@ func (ex *executor) runJob(w int, job *poolJob) {
 		}
 		switch job.kind {
 		case jobUpdatePhase:
-			for _, ci := range job.phase[start:end] {
-				prop, acc := updateCluster(job.state, ci, job.key, job.opt, job.epoch, job.temp)
-				sh.proposed += int64(prop)
-				sh.accepted += int64(acc)
-			}
+			prop, acc := updatePhase(job.state, job.phase[start:end], job.key, job.opt, job.epoch, job.temp)
+			sh.proposed += prop
+			sh.accepted += acc
 		case jobLoadWindows:
 			for ci := start; ci < end; ci++ {
 				loadWindow(job.state, int(ci))

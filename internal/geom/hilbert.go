@@ -7,53 +7,49 @@ import "slices"
 // ample resolution for TSPLIB-scale instances.
 const HilbertOrder = 16
 
-// HilbertD2XY converts a distance d along the Hilbert curve of the given
-// order into grid coordinates (x, y). It is the inverse of HilbertXY2D.
-func HilbertD2XY(order uint, d uint64) (x, y uint32) {
-	var rx, ry uint64
-	t := d
-	for s := uint64(1); s < 1<<order; s <<= 1 {
-		rx = 1 & (t / 2)
-		ry = 1 & (t ^ rx)
-		x64, y64 := hilbertRot(s, uint64(x), uint64(y), rx, ry)
-		x, y = uint32(x64), uint32(y64)
-		x += uint32(s * rx)
-		y += uint32(s * ry)
-		t /= 4
+// hilbertTable drives hilbertKey four bits per axis at a time. Curve
+// state is which transform of the quadrant frame is in force: bit 0
+// set when x and y are swapped, bit 1 when both are complemented (the
+// two commute, so they compose into these four states). The entry for
+// state<<8 | x nibble<<4 | y nibble holds the four base-4 curve digits
+// of that nibble pair, most significant first, in its low byte, and
+// the state after them in the two bits above.
+var hilbertTable = func() (t [1024]uint16) {
+	for idx := range t {
+		state, x, y := idx>>8, idx>>4&15, idx&15
+		digits := 0
+		for b := 3; b >= 0; b-- {
+			rx, ry := x>>b&1, y>>b&1
+			if state&1 != 0 {
+				rx, ry = ry, rx
+			}
+			if state&2 != 0 {
+				rx, ry = rx^1, ry^1
+			}
+			digits = digits<<2 | (3 * rx) ^ ry
+			if ry == 0 {
+				// Enter the lower quadrant: swap the axes, and
+				// complement them too on its right-hand half.
+				state ^= 1 | rx<<1
+			}
+		}
+		t[idx] = uint16(state<<8 | digits)
 	}
-	return
-}
+	return t
+}()
 
-// HilbertXY2D converts grid coordinates (x, y) into a distance along the
-// Hilbert curve of the given order.
-func HilbertXY2D(order uint, x, y uint32) uint64 {
+// hilbertKey is the distance of grid cell (x, y) along the Hilbert curve
+// of order HilbertOrder: four table steps, with no branch on the
+// coordinates.
+func hilbertKey(x, y uint32) uint64 {
 	var d uint64
-	xx, yy := uint64(x), uint64(y)
-	for s := uint64(1) << (order - 1); s > 0; s >>= 1 {
-		var rx, ry uint64
-		if xx&s > 0 {
-			rx = 1
-		}
-		if yy&s > 0 {
-			ry = 1
-		}
-		d += s * s * ((3 * rx) ^ ry)
-		xx, yy = hilbertRot(s, xx, yy, rx, ry)
+	var state uint16
+	for shift := HilbertOrder - 4; shift >= 0; shift -= 4 {
+		e := hilbertTable[(state<<8|uint16(x>>shift&15)<<4|uint16(y>>shift&15))&1023]
+		d = d<<8 | uint64(e&0xff)
+		state = e >> 8
 	}
 	return d
-}
-
-// hilbertRot rotates/flips a quadrant appropriately for the curve
-// construction.
-func hilbertRot(s, x, y, rx, ry uint64) (uint64, uint64) {
-	if ry == 0 {
-		if rx == 1 {
-			x = s - 1 - x
-			y = s - 1 - y
-		}
-		x, y = y, x
-	}
-	return x, y
 }
 
 // HilbertKeys maps each point to its Hilbert-curve index within the
@@ -76,7 +72,7 @@ func HilbertKeys(pts []Point) []uint64 {
 	for i, p := range pts {
 		gx := uint32((p.X - b.MinX) / w * side)
 		gy := uint32((p.Y - b.MinY) / h * side)
-		keys[i] = HilbertXY2D(HilbertOrder, gx, gy)
+		keys[i] = hilbertKey(gx, gy)
 	}
 	return keys
 }

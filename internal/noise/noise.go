@@ -175,8 +175,17 @@ func CellID(window, row, col, bit int) uint64 {
 	checkField("row", row, cellRowBits)
 	checkField("col", col, cellColBits)
 	checkField("bit", bit, cellBitBits)
-	return uint64(window)<<32 | uint64(row)<<20 | uint64(col)<<8 | uint64(bit)
+	return uint64(window)<<32 | uint64(row)<<CellRowShift | uint64(col)<<CellColShift | uint64(bit)
 }
+
+// CellRowShift and CellColShift place the row and column fields of a
+// cell ID: CellID(w, row, col, bit) is CellID(w, 0, 0, bit) |
+// row<<CellRowShift | col<<CellColShift for every in-range row and
+// column, so a caller that has bounded them can offset one base ID.
+const (
+	CellRowShift = 20
+	CellColShift = 8
+)
 
 // SpinCellID composes the cell identifier of the virtual spin-register
 // cell for (cluster, slot) — the noisy-spins ablation's input bits.

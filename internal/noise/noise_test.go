@@ -180,6 +180,9 @@ func TestCellIDUnique(t *testing.T) {
 			for c := 0; c < 16; c++ {
 				for b := 0; b < 8; b++ {
 					id := CellID(w, r, c, b)
+					if off := CellID(w, 0, 0, b) | uint64(r)<<CellRowShift | uint64(c)<<CellColShift; off != id {
+						t.Fatalf("cell (%d,%d,%d,%d): offset base %#x, CellID %#x", w, r, c, b, off, id)
+					}
 					if seen[id] {
 						t.Fatalf("duplicate cell id for (%d,%d,%d,%d)", w, r, c, b)
 					}
