@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -15,7 +17,9 @@ import (
 //
 // onWrite, when non-nil, runs on the writer goroutine after each
 // successful write, never concurrently with itself, and never after
-// Close has returned.
+// Close has returned. A panic in a write or in onWrite does not end the
+// process: it becomes the writer's sticky error, with the panic value
+// and stack, and stops the goroutine like a failed write.
 type Writer struct {
 	path    string
 	onWrite func(path string)
@@ -89,10 +93,7 @@ func (w *Writer) run() {
 		s, seq := w.pending, w.put
 		w.pending = nil
 		w.mu.Unlock()
-		err := Save(w.path, s)
-		if err == nil && w.onWrite != nil {
-			w.onWrite(w.path)
-		}
+		err := w.write(s)
 		w.mu.Lock()
 		// The first error stops the goroutine, so it is never overwritten.
 		w.written, w.err = seq, err
@@ -101,4 +102,18 @@ func (w *Writer) run() {
 			return
 		}
 	}
+}
+
+// write saves s and runs onWrite, returning a panic in either as an
+// error.
+func (w *Writer) write(s *Snapshot) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("checkpoint: writer panicked: %v\n%s", v, debug.Stack())
+		}
+	}()
+	if err = Save(w.path, s); err == nil && w.onWrite != nil {
+		w.onWrite(w.path)
+	}
+	return err
 }

@@ -148,3 +148,36 @@ func TestWriterNoWriteAfterClose(t *testing.T) {
 		t.Fatalf("onWrite ran after Close returned (%d -> %d)", n, writes)
 	}
 }
+
+// TestWriterContainsOnWritePanic: a panic in onWrite becomes the
+// writer's sticky error, carrying the value and the writer's stack, so
+// a waiting Put and Close return it instead of the process ending; the
+// goroutine exits; and a fresh Writer on the same directory still
+// writes.
+func TestWriterContainsOnWritePanic(t *testing.T) {
+	dir := t.TempDir()
+	w := NewWriter(filepath.Join(dir, "w.ckpt"), func(string) { panic("injected fault") })
+	for _, err := range []error{w.Put(iterSnapshot(1), true), w.Close()} {
+		if err == nil || !strings.Contains(err.Error(), "injected fault") || !strings.Contains(err.Error(), "writer_test.go") {
+			t.Fatalf("got %v, want the panic value and the writer's stack", err)
+		}
+	}
+	select {
+	case <-w.done:
+	default:
+		t.Fatal("the writer goroutine still runs after Close")
+	}
+
+	path := filepath.Join(dir, "fresh.ckpt")
+	writes := 0
+	fresh := NewWriter(path, func(string) { writes++ })
+	if err := fresh.Put(iterSnapshot(2), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := loadIter(t, path); got != 2 || writes != 1 {
+		t.Fatalf("fresh writer: iter %d on disk after %d writes, want 2 after 1", got, writes)
+	}
+}

@@ -10,19 +10,11 @@
 // test, not an assumption.
 package cim
 
-import "cimsa/internal/fixed"
-
-// NorMultiply is the 14T cell's compute: a NOR gate with the stored
-// weight bit on one input and the (inverted) data line on the other
-// realizes a 1-bit AND of input and weight. Inputs must be 0 or 1.
-func NorMultiply(input, weight uint8) uint8 {
-	// NOR(^in, ^w) == in AND w for one-bit signals.
-	return ((input ^ 1) | (weight ^ 1)) ^ 1
-}
-
 // AdderTree reduces one window column: n one-bit products per bit plane,
 // then shift-and-add across the 8 planes. It mirrors the hardware
-// structure so depth and adder counts are available to the PPA model.
+// structure so depth and adder counts are available to the PPA model;
+// the bit-serial reduction itself is the tests' oracle (SumColumn in
+// reference_test.go), which the swap kernel's column sums must equal.
 type AdderTree struct {
 	// Inputs is the number of one-bit products the tree sums (p²+2p).
 	Inputs int
@@ -53,30 +45,6 @@ func (t AdderTree) AdderCount(bits int) int {
 		total += pairs * width
 		n = (n + 1) / 2
 		width++
-	}
-	return total
-}
-
-// SumColumn computes the multi-bit MAC for one selected column: for each
-// bit plane b, the tree sums the 1-bit products input[r] * weightBit,
-// then the plane sums are shifted and added. inputs[r] must be 0 or 1;
-// weights[r] is the 8-bit code stored in row r of the selected column.
-// The result is exact (no saturation): the paper's 8-bit weights with
-// p²+2p <= 24 rows need at most 8+5 bits, well within int range.
-func (t AdderTree) SumColumn(inputs []uint8, weights []uint8) int {
-	if len(inputs) != len(weights) {
-		panic("cim: input/weight row count mismatch")
-	}
-	if len(inputs) != t.Inputs {
-		panic("cim: row count does not match tree size")
-	}
-	total := 0
-	for b := 0; b < fixed.Bits; b++ {
-		planeSum := 0
-		for r := range inputs {
-			planeSum += int(NorMultiply(inputs[r], fixed.Bit(weights[r], b)))
-		}
-		total += planeSum << uint(b)
 	}
 	return total
 }

@@ -11,7 +11,8 @@ import (
 // codes (Weight, CleanWeight), the bit-plane adder-tree MAC
 // (LocalEnergy), its per-column shortcut over the active rows
 // (ColumnSum) and the swap ΔH built from four LocalEnergy MACs
-// (refSwapDelta). Production evaluates swaps with the memoised fused
+// (refSwapDelta), over the cell's NOR multiply (NorMultiply) and the
+// adder tree's bit-serial column MAC (AdderTree.SumColumn). Production evaluates swaps with the memoised fused
 // kernel behind Level.SwapDelta; these are the definitions it is
 // checked against. They take the spin state as unpacked Inputs.
 
@@ -170,4 +171,36 @@ func (w testWindow) refSwapDelta(in Inputs, i, j int, scratch []uint8) int {
 	after := w.LocalEnergy(in, i, l, scratch) + w.LocalEnergy(in, j, k, scratch)
 	in.Order[i], in.Order[j] = k, l
 	return after - before
+}
+
+// NorMultiply is the 14T cell's compute: a NOR gate with the stored
+// weight bit on one input and the (inverted) data line on the other
+// realizes a 1-bit AND of input and weight. Inputs must be 0 or 1.
+func NorMultiply(input, weight uint8) uint8 {
+	// NOR(^in, ^w) == in AND w for one-bit signals.
+	return ((input ^ 1) | (weight ^ 1)) ^ 1
+}
+
+// SumColumn computes the multi-bit MAC for one selected column: for each
+// bit plane b, the tree sums the 1-bit products input[r] * weightBit,
+// then the plane sums are shifted and added. inputs[r] must be 0 or 1;
+// weights[r] is the 8-bit code stored in row r of the selected column.
+// The result is exact (no saturation): the paper's 8-bit weights with
+// p²+2p <= 24 rows need at most 8+5 bits, well within int range.
+func (t AdderTree) SumColumn(inputs []uint8, weights []uint8) int {
+	if len(inputs) != len(weights) {
+		panic("cim: input/weight row count mismatch")
+	}
+	if len(inputs) != t.Inputs {
+		panic("cim: row count does not match tree size")
+	}
+	total := 0
+	for b := 0; b < fixed.Bits; b++ {
+		planeSum := 0
+		for r := range inputs {
+			planeSum += int(NorMultiply(inputs[r], fixed.Bit(weights[r], b)))
+		}
+		total += planeSum << uint(b)
+	}
+	return total
 }

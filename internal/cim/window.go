@@ -109,7 +109,9 @@ type Window struct {
 // the cache and reads the written codes directly.
 //
 // SwapDelta memoises each slot pair's ΔH, keyed on the packed inputs,
-// for as long as the codes it reads stay the same (see WriteBack).
+// for as long as the codes it reads stay the same (see WriteBack), and
+// with Settles set it flags a window whose every pair is memoised as
+// uphill under its current inputs (see Settled).
 type Level struct {
 	// Windows holds each window's geometry and quantizer, Index = its
 	// position unless the level was built for a single window.
@@ -128,6 +130,14 @@ type Level struct {
 	// (every key has its valid bit set).
 	memo  []uint64
 	pairs int
+	// settled[w] marks window w settled: every slot pair's memo entry
+	// holds one key with ΔH >= 0. It is cleared wherever the memo is,
+	// and by Unsettle.
+	settled []bool
+	// Settles lets SwapDelta set settled flags. Set it only when every
+	// swap is accepted iff its ΔH < 0 on the order the memo is keyed on,
+	// so a settled window's proposals can only be rejected.
+	Settles bool
 	// epoch is the current pseudo-read pass and nLSB its noisy-LSB count;
 	// with nLSB <= 0 every cell reads back clean.
 	epoch noise.Epoch
@@ -162,6 +172,7 @@ func NewLevel(shapes []Shape) *Level {
 		seen:    make([]uint16, cells),
 		memo:    make([]uint64, pairs*len(shapes)),
 		pairs:   pairs,
+		settled: make([]bool, len(shapes)),
 	}
 	off := 0
 	for i, s := range shapes {
@@ -217,6 +228,7 @@ func (l *Level) Load(w int, dist []float64) error {
 	clear(clean)
 	clear(l.seen[win.cells : win.cells+rows*own])
 	clear(l.memo[w*l.pairs : (w+1)*l.pairs])
+	l.settled[w] = false
 	// Fill couplings. Column (i,k): own order slot i, element k.
 	for i := 0; i < p; i++ {
 		for k := 0; k < p; k++ {
@@ -261,6 +273,7 @@ func (l *Level) MaskWeights(bits int) {
 	}
 	clear(l.seen)
 	clear(l.memo)
+	clear(l.settled)
 }
 
 // WriteBack restores the clean weights of every window and starts a
@@ -272,10 +285,12 @@ func (l *Level) MaskWeights(bits int) {
 // The memo survives a clean-to-clean write-back: both epochs read the
 // written codes, so every stored ΔH still holds. Any write-back into or
 // out of a noisy epoch clears it, and Load and MaskWeights, the only
-// other places codes change, clear what they touch.
+// other places codes change, clear what they touch. The settled flags
+// go with the memo.
 func (l *Level) WriteBack(ep noise.Epoch, nLSB int) {
 	if nLSB > 0 || l.nLSB > 0 {
 		clear(l.memo)
+		clear(l.settled)
 	}
 	if nLSB > 0 {
 		clear(l.seen)
@@ -286,15 +301,34 @@ func (l *Level) WriteBack(ep noise.Epoch, nLSB int) {
 // observed returns the code a noisy epoch shows at row row of one
 // window column, pseudo-reading the cell on its first use. base is the
 // column's offset in the level's cells, win.cells + col*Rows(), and id
-// its row-0 cell ID, noise.CellID(win.Index, 0, col, 0).
+// its row-0 cell ID, noise.CellID(win.Index, 0, col, 0). The seen-cache
+// hit is small enough to inline into the swap kernel; the first read
+// of a cell calls pseudoRead.
 func (l *Level) observed(base int, id uint64, row int) uint8 {
 	if v := l.seen[base+row]; v != 0 {
 		return uint8(v)
 	}
+	return l.pseudoRead(base, id, row)
+}
+
+// pseudoRead reads one cell through the epoch's fabric pass and caches
+// the code it shows.
+func (l *Level) pseudoRead(base int, id uint64, row int) uint8 {
 	code := l.epoch.ReadCode(l.clean[base+row], id|uint64(row)<<noise.CellRowShift, l.nLSB)
 	l.seen[base+row] = seenTag | uint16(code)
 	return code
 }
+
+// Settled reports whether window w is settled: with Settles set,
+// SwapDelta marks a window once every slot pair is memoised with
+// ΔH >= 0 under one key. Until the window's inputs change, every
+// proposal it can make is a memo hit that is rejected, so a caller may
+// skip it. Nothing here sees a neighbour's order change: the caller
+// must Unsettle both neighbours of a window whose swap it accepts.
+func (l *Level) Settled(w int) bool { return l.settled[w] }
+
+// Unsettle clears window w's settled flag.
+func (l *Level) Unsettle(w int) { l.settled[w] = false }
 
 // SwapDelta evaluates the paper's four-MAC swap decision for order slots
 // i and j of window w, holding elements k and l: ΔH = H(σ'_il) +
@@ -309,6 +343,9 @@ func (l *Level) observed(base int, id uint64, row int) uint8 {
 // per-window field is read: a repeat proposal with unchanged inputs
 // reads one memo word. An accepted swap, a neighbour's new boundary
 // element or a corrupted spin input changes the key and so misses.
+//
+// With Settles set, a miss with ΔH >= 0 also scans the window's memo
+// and marks the window settled once every pair holds this key uphill.
 func (l *Level) SwapDelta(w int, order Order, prevElem, nextElem, i, j int) int {
 	if i == j {
 		return 0
@@ -321,9 +358,24 @@ func (l *Level) SwapDelta(w int, order Order, prevElem, nextElem, i, j int) int 
 	if *e>>16 == key {
 		return int(int16(uint16(*e)))
 	}
-	d := l.swapDelta(&l.Windows[w], order, prevElem, nextElem, i, j)
+	win := &l.Windows[w]
+	d := l.swapDelta(win, order, prevElem, nextElem, i, j)
 	*e = key<<16 | uint64(uint16(int16(d)))
+	if l.Settles && d >= 0 {
+		l.settle(w, win.pairs(), key)
+	}
 	return d
+}
+
+// settle marks window w settled if each of its n memo entries holds key
+// with ΔH >= 0.
+func (l *Level) settle(w, n int, key uint64) {
+	for _, e := range l.memo[w*l.pairs : w*l.pairs+n] {
+		if e>>16 != key || int16(uint16(e)) < 0 {
+			return
+		}
+	}
+	l.settled[w] = true
 }
 
 // swapKey packs the inputs a window's ΔH depends on: the order word

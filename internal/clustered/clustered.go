@@ -74,6 +74,13 @@ func (m Mode) String() string {
 	}
 }
 
+// settles reports whether the mode accepts a swap iff its ΔH < 0 on the
+// stored order, so that a window whose every swap is memoised uphill can
+// be skipped until its inputs change. Metropolis may accept uphill, and
+// noisy-spins keys the memo on an input that each iteration's fabric
+// pass corrupts afresh.
+func (m Mode) settles() bool { return m == ModeNoisyCIM || m == ModeGreedy }
+
 // Options configures a solve.
 type Options struct {
 	// Strategy is the clustering policy; defaults to SemiFlex p=3 (the
@@ -571,6 +578,7 @@ func (ex *executor) buildLevel(state *levelState, o *Options) {
 		}
 	}
 	state.chip = cim.NewLevel(shapes)
+	state.chip.Settles = o.Mode.settles()
 	ex.job.state = state
 	ex.job.opt = o
 	ex.planLevel(state.sizes)
@@ -674,7 +682,7 @@ func metropolisTemp(state *levelState) float64 {
 // of execution order, so parallel and sequential runs are bit-identical.
 // The fold is sequential, so the state after (seed, level, iter) is
 // shared by every cluster of the iteration: iterKey computes it once per
-// iteration, clusterKey folds in the cluster, and proposal and
+// iteration, clusterKey folds in the cluster, and drawPass and
 // acceptUniform fold in their stream.
 
 // counterInit is the counter hash's initial state.
@@ -702,25 +710,9 @@ func iterKey(seed uint64, level, iter int) uint64 {
 // whose iterKey is key.
 func clusterKey(key uint64, ci int) uint64 { return counterFold(key, uint64(ci)) }
 
-// proposal derives the swap slots i, j (in [0, p)) from a cluster's
-// clusterKey hc: h % p and g % p of the finished hash h and g = h>>24.
-// For p up to 8 both come from Lemire's direct remainder over per-p
-// constants, with no branch on p: g has 40 bits, so 64 fraction bits
-// give g % p exactly, and h % p is (g%p · (2²⁴ % p) + h mod 2²⁴) % p,
-// a 25-bit value reduced the same way.
-func proposal(hc uint64, p int) (i, j int) {
-	h := counterFinish(counterFold(hc, 0))
-	g := h >> 24
-	if uint(p-1) >= uint(len(remConsts)) {
-		return int(h % uint64(p)), int(g % uint64(p))
-	}
-	rc := remConsts[p-1]
-	gm := remainder(g, rc.c, uint64(p))
-	return int(remainder(gm*rc.r24+h&(1<<24-1), rc.c, uint64(p))), int(gm)
-}
-
 // remConsts[p-1] holds, for divisor p, c = ⌈2⁶⁴/p⌉ mod 2⁶⁴ (0 for p =
-// 1, which the direct remainder then maps to 0) and r24 = 2²⁴ % p.
+// 1, which the direct remainder then maps to 0) and r24 = 2²⁴ % p, for
+// drawPass's slot remainders.
 var remConsts = func() (t [8]struct{ c, r24 uint64 }) {
 	for k := range t {
 		p := uint64(k + 1)
@@ -757,39 +749,70 @@ type draw struct {
 	i, j uint8
 }
 
+// drawPass draws the swap slots of every cluster of batch (at most
+// drawBatch of them, each of 2 to 8 children) into buf, and returns how
+// many it kept: those with i != j, in batch order.
+//
+// Cluster ci's slots come from its clusterKey hc: i = h % p and j =
+// g % p of the finished hash h and g = h>>24. Both are Lemire's direct
+// remainder over per-p constants, with no branch on p or on the draw:
+// g has 40 bits, so 64 fraction bits give g % p exactly, and h % p is
+// (g%p · (2²⁴ % p) + h mod 2²⁴) % p, a 25-bit value reduced the same
+// way. The hashes of a batch are independent, so they overlap in the
+// pipeline.
+func drawPass(state *levelState, batch []int, key uint64, buf *[drawBatch]draw) int {
+	n := 0
+	for _, ci := range batch {
+		hc := clusterKey(key, ci)
+		p := uint64(state.sizes[ci])
+		rc := &remConsts[(p-1)&7]
+		h := counterFinish(counterFold(hc, 0))
+		j := remainder(h>>24, rc.c, p)
+		i := remainder(j*rc.r24+h&(1<<24-1), rc.c, p)
+		// n < drawBatch here; the mask only drops the bounds check.
+		buf[n&(drawBatch-1)] = draw{hc: hc, ci: int32(ci), i: uint8(i), j: uint8(j)}
+		if i != j {
+			n++
+		}
+	}
+	return n
+}
+
 // updatePhase proposes and (maybe) applies one swap for each cluster of
 // phase, a run of one chromatic phase, in the iteration whose iterKey
-// is key, and returns the proposal and acceptance counts. It is the
-// worker pool's unit of work: it writes only the order words of the
-// clusters of phase and reads only neighbours that are frozen for the
-// current chromatic phase.
+// is key. It returns the proposal count and accepts with the index of
+// every cluster whose swap it accepted appended. It is the worker
+// pool's unit of work: it writes only the order words of the clusters
+// of phase and reads only neighbours that are frozen for the current
+// chromatic phase.
 //
-// Each batch of drawBatch clusters runs in two passes. The draw pass
-// hashes every cluster's slot pair and keeps those with i != j, with
-// no branch on the draw: the hashes of a batch are independent, so
-// they overlap in the pipeline. The decision pass then probes the swap
+// Each batch of drawBatch clusters runs in two passes. drawPass draws
+// every cluster's slot pair; the decision pass then probes the swap
 // memo, accepts and swaps, proposal by proposal. A cluster's draw
 // reads nothing another cluster of the phase writes, so the split
 // leaves every result as a per-cluster loop would produce it.
-func updatePhase(state *levelState, phase []int, key uint64, o *Options, ep noise.Epoch, temp float64) (proposed, accepted int64) {
+//
+// The decision pass skips a settled window (cim.Level.Settled) as soon
+// as it reads the draw: its proposal would hit the memo uphill and be
+// rejected. Its neighbours' flags are not this pass's to clear, since
+// clusters of the same phase share them; the caller clears them after
+// the phase from the accepts log (executor.unsettle).
+func updatePhase(state *levelState, phase []int, key uint64, o *Options, ep noise.Epoch, temp float64, accepts []int32) (int64, []int32) {
 	var buf [drawBatch]draw
+	chip := state.chip
 	last := len(state.orders) - 1
+	proposed := int64(0)
 	for len(phase) > 0 {
 		batch := phase[:min(len(phase), drawBatch)]
 		phase = phase[len(batch):]
-		n := 0
-		for _, ci := range batch {
-			hc := clusterKey(key, ci)
-			i, j := proposal(hc, int(state.sizes[ci]))
-			// n < drawBatch here; the mask only drops the bounds check.
-			buf[n&(drawBatch-1)] = draw{hc: hc, ci: int32(ci), i: uint8(i), j: uint8(j)}
-			if i != j {
-				n++
-			}
-		}
+		n := drawPass(state, batch, key, &buf)
 		proposed += int64(n)
 		for _, d := range buf[:n] {
-			ci, i, j := int(d.ci), int(d.i), int(d.j)
+			ci := int(d.ci)
+			if chip.Settled(ci) {
+				continue
+			}
+			i, j := int(d.i), int(d.j)
 			p := int(state.sizes[ci])
 			prev, next := ci-1, ci+1
 			if prev < 0 {
@@ -804,14 +827,14 @@ func updatePhase(state *levelState, phase []int, key uint64, o *Options, ep nois
 				in = corruptOrder(order, p, ep, ci)
 			}
 			// The four MACs of Fig. 5a, memoised per slot pair.
-			delta := state.chip.SwapDelta(ci, in, state.orders[prev].Last(), state.orders[next].First(int(state.sizes[next])), i, j)
+			delta := chip.SwapDelta(ci, in, state.orders[prev].Last(), state.orders[next].First(int(state.sizes[next])), i, j)
 			if accept(state, ci, delta, o.Mode, d.hc, temp) {
 				state.orders[ci] = order.Swap(p, i, j)
-				accepted++
+				accepts = append(accepts, d.ci)
 			}
 		}
 	}
-	return proposed, accepted
+	return proposed, accepts
 }
 
 // accept decides a swap of cluster ci with energy change delta per the

@@ -72,11 +72,15 @@ func autoWorkers(n, procs int) int {
 	return w
 }
 
-// statShard is one worker's private counters, padded to a cache line so
-// concurrent increments never false-share.
+// statShard is one worker's private counters and accepts log, padded
+// to a cache line so concurrent increments never false-share. accepts
+// lists the clusters whose swap the worker accepted in the current
+// dispatch; runStep unsettles their neighbours and truncates it. Its
+// capacity covers a whole phase, so appending never allocates.
 type statShard struct {
 	proposed, accepted int64
-	_                  [48]byte
+	accepts            []int32
+	_                  [24]byte
 }
 
 type jobKind int
@@ -428,13 +432,22 @@ func (ex *executor) observeCost(kind jobKind, d time.Duration, items int64) {
 
 // planLevel builds the fused dispatch plan of a level whose clusters
 // have the given sizes: the window loads plus the chromatic phases,
-// each with grab and fan-out resolved. The iteration loop then issues
-// steps with no per-phase setup work.
+// each with grab and fan-out resolved, and sizes the workers' accepts
+// logs for the longest phase. The iteration loop then issues steps with
+// no per-phase setup work.
 func (ex *executor) planLevel(sizes []uint8) {
 	phases := ex.phasesFor(sizes)
 	steps := ex.plan.steps[:0]
+	longest := 0
 	for _, ph := range phases {
 		steps = append(steps, dispatchStep{phase: ph, items: len(ph)})
+		longest = max(longest, len(ph))
+	}
+	// One worker may run a whole phase and accept every swap of it.
+	for w := range ex.shards {
+		if sh := &ex.shards[w]; cap(sh.accepts) < longest {
+			sh.accepts = make([]int32, 0, longest)
+		}
 	}
 	ex.plan.steps = steps
 	ex.plan.load = dispatchStep{items: len(sizes)}
@@ -470,7 +483,8 @@ func (ex *executor) tuneStep(st *dispatchStep, kind jobKind) {
 }
 
 // runStep executes one planned dispatch and blocks until every item is
-// processed. Steps with no fan-out run entirely on the dispatching
+// processed, then unsettles the neighbours of the clusters it accepted
+// swaps for. Steps with no fan-out run entirely on the dispatching
 // goroutine: no atomics beyond the cursor, no barrier traffic. A panic
 // that a background worker recovered during the dispatch is re-raised
 // here, on the solve goroutine, once every engaged worker is done.
@@ -479,6 +493,7 @@ func (ex *executor) runStep(job *poolJob, st *dispatchStep) {
 	job.cursor.Store(0)
 	if st.fan == 0 {
 		ex.run(0, job)
+		ex.unsettle(job.state)
 		return
 	}
 	ex.pending.Store(st.fan)
@@ -488,6 +503,7 @@ func (ex *executor) runStep(job *poolJob, st *dispatchStep) {
 	}
 	ex.run(0, job)
 	ex.awaitPending()
+	ex.unsettle(job.state)
 	if p := ex.panicked.Swap(nil); p != nil {
 		panic(p)
 	}
@@ -525,9 +541,11 @@ func (ex *executor) runJob(w int, job *poolJob) {
 		}
 		switch job.kind {
 		case jobUpdatePhase:
-			prop, acc := updatePhase(job.state, job.phase[start:end], job.key, job.opt, job.epoch, job.temp)
+			before := len(sh.accepts)
+			var prop int64
+			prop, sh.accepts = updatePhase(job.state, job.phase[start:end], job.key, job.opt, job.epoch, job.temp, sh.accepts)
 			sh.proposed += prop
-			sh.accepted += acc
+			sh.accepted += int64(len(sh.accepts) - before)
 		case jobLoadWindows:
 			for ci := start; ci < end; ci++ {
 				loadWindow(job.state, int(ci))
@@ -541,13 +559,31 @@ func (ex *executor) runJob(w int, job *poolJob) {
 }
 
 // mergeShards folds every worker's counters into stats and resets the
-// shards — called once per level, not once per phase.
+// counters — called once per level, not once per phase.
 func (ex *executor) mergeShards(stats *Stats) {
 	for i := range ex.shards {
 		sh := &ex.shards[i]
 		stats.Proposed += sh.proposed
 		stats.Accepted += sh.accepted
-		*sh = statShard{}
+		sh.proposed, sh.accepted = 0, 0
+	}
+}
+
+// unsettle clears the settled flags of both neighbours of every cluster
+// the dispatch just accepted a swap for, and truncates the logs. An
+// accept changes the boundary element its neighbours' swaps are keyed
+// on, but the neighbours belong to other chromatic phases, which read
+// their flags only after this dispatch, so deferring the clear to here
+// is exact, and no worker writes a flag another worker may read.
+func (ex *executor) unsettle(state *levelState) {
+	for w := range ex.shards {
+		sh := &ex.shards[w]
+		for _, ci := range sh.accepts {
+			nc := len(state.orders)
+			state.chip.Unsettle((int(ci) + nc - 1) % nc)
+			state.chip.Unsettle((int(ci) + 1) % nc)
+		}
+		sh.accepts = sh.accepts[:0]
 	}
 }
 

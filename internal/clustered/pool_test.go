@@ -325,8 +325,8 @@ func TestMergeShardsInt64(t *testing.T) {
 		t.Errorf("Accepted = %d, want %d", stats.Accepted, big-1+20)
 	}
 	for i := range ex.shards {
-		if ex.shards[i] != (statShard{}) {
-			t.Errorf("shard %d not reset: %+v", i, ex.shards[i])
+		if sh := ex.shards[i]; sh.proposed != 0 || sh.accepted != 0 {
+			t.Errorf("shard %d not reset: %+v", i, sh)
 		}
 	}
 }

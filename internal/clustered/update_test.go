@@ -7,9 +7,20 @@ import (
 	"testing"
 
 	"cimsa/internal/cluster"
+	"cimsa/internal/device"
 	"cimsa/internal/noise"
 	"cimsa/internal/tsplib"
 )
+
+// proposal is the draw's one-cluster oracle: the swap slots i, j (in
+// [0, p)) of a cluster's clusterKey hc are h % p and (h>>24) % p of the
+// finished hash h. drawPass computes them by direct remainders for the
+// cluster sizes a strategy allows (2 to 8); this is plain division, for
+// any p.
+func proposal(hc uint64, p int) (i, j int) {
+	h := counterFinish(counterFold(hc, 0))
+	return int(h % uint64(p)), int((h >> 24) % uint64(p))
+}
 
 // updateCluster is the per-cluster reference updatePhase must
 // reproduce: draw cluster ci's slot pair, drop i == j, then probe,
@@ -42,13 +53,46 @@ func updateCluster(state *levelState, ci int, key uint64, o *Options, ep noise.E
 	return 1, 1
 }
 
+// updateWriteBack is one write-back of the update tests' epoch sequence.
+type updateWriteBack struct {
+	ep   noise.Epoch
+	nLSB int
+}
+
+// updateWriteBacks is the epoch sequence the update tests drive a level
+// through: the schedule's first two epochs (noisy into noisy for
+// noisy-cim, clean for the other modes), then noisy into clean and
+// clean into clean. The last keeps the memo and the settled flags.
+func updateWriteBacks(t *testing.T, o *Options) []updateWriteBack {
+	ep0, n0 := writeBackEpoch(o, 0)
+	ep1, n1 := writeBackEpoch(o, o.Schedule.EpochIters)
+	if o.Mode == ModeNoisyCIM && (n0 <= 0 || n1 <= 0) {
+		t.Fatalf("noisy-cim's first epochs read %d and %d noisy LSBs", n0, n1)
+	}
+	clean := o.Fabric.At(device.NominalVDD)
+	return []updateWriteBack{{ep0, n0}, {ep1, n1}, {clean, 0}, {clean, 0}}
+}
+
+// settledCount counts a level's settled windows.
+func settledCount(state *levelState) int {
+	n := 0
+	for w := range state.orders {
+		if state.chip.Settled(w) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestUpdatePhaseMatchesPerClusterReference runs two copies of a
-// 1,000-cluster level through a noisy write-back epoch and into the
-// next, one on the executor's two-pass loop and one through the
-// per-cluster reference, and requires every order word after every
-// iteration, and the Proposed and Accepted totals, to agree. Its
-// phases are several times the draw buffer, and at two workers each
-// grab spans more than one buffer too.
+// 1,000-cluster level through four write-back epochs (noisy into noisy,
+// noisy into clean, clean into clean; see updateWriteBacks), one on the
+// executor's two-pass loop, which skips settled windows, and one
+// through the per-cluster reference, which probes every proposal. It
+// requires every order word after every iteration, and the Proposed
+// and Accepted totals, to agree, and the settled flags to survive the
+// clean-to-clean write-back. Its phases are several times the draw
+// buffer, and at two workers each grab spans more than one buffer too.
 func TestUpdatePhaseMatchesPerClusterReference(t *testing.T) {
 	in := tsplib.Generate("two-pass", 3000, tsplib.StyleClustered, 5)
 	h, err := cluster.Build(in.Cities, cluster.Strategy{Kind: cluster.SemiFlex, P: 3})
@@ -56,6 +100,7 @@ func TestUpdatePhaseMatchesPerClusterReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	level := h.Levels[1]
+	const span = 25
 	for _, mode := range []Mode{ModeNoisyCIM, ModeMetropolis, ModeGreedy, ModeNoisySpins} {
 		for _, workers := range []int{1, 2} {
 			o := solveOpts(mode, 11).withDefaults()
@@ -73,17 +118,28 @@ func TestUpdatePhaseMatchesPerClusterReference(t *testing.T) {
 			}
 			var refProposed, refAccepted int64
 			temp := metropolisTemp(got)
-			iters := o.Schedule.EpochIters + 5
+			wbs := updateWriteBacks(t, &o)
+			iters := span * len(wbs)
 			for iter := 0; iter < iters; iter++ {
-				if iter%o.Schedule.EpochIters == 0 {
-					got.chip.WriteBack(writeBackEpoch(&o, iter))
-					ref.chip.WriteBack(writeBackEpoch(&o, iter))
+				if iter%span == 0 {
+					wb := wbs[iter/span]
+					settled := settledCount(got)
+					got.chip.WriteBack(wb.ep, wb.nLSB)
+					ref.chip.WriteBack(wb.ep, wb.nLSB)
 					ex.retune()
+					if iter/span == len(wbs)-1 {
+						if after := settledCount(got); after != settled {
+							t.Fatalf("%v workers=%d: the clean-to-clean write-back left %d of %d settled windows", mode, workers, after, settled)
+						}
+						if mode.settles() && settled == 0 {
+							t.Fatalf("%v workers=%d: no window settled, so skipping pinned nothing", mode, workers)
+						}
+					}
 				}
 				job := &ex.job
 				job.kind = jobUpdatePhase
 				job.key = iterKey(o.Seed, 1, iter)
-				job.temp = temp * (1 - float64(iter)/float64(o.Schedule.TotalIters()))
+				job.temp = temp * (1 - float64(iter)/float64(iters))
 				vdd, _ := o.Schedule.At(iter)
 				job.epoch = o.Fabric.At(vdd)
 				for si := range ex.plan.steps {
@@ -114,6 +170,141 @@ func TestUpdatePhaseMatchesPerClusterReference(t *testing.T) {
 				t.Fatalf("%v workers=%d: no swap accepted, so the orders pinned nothing", mode, workers)
 			}
 		}
+	}
+}
+
+// TestSettledWindowsAreUphill checks the settled flags after every
+// dispatch of a 1,000-cluster level driven through the epochs of
+// updateWriteBacks, at one and two workers and in every mode. In
+// noisy-cim and greedy, every slot pair of every settled window,
+// recomputed under the current inputs by the fused kernel on a copy of
+// the level whose memo is dropped first, must have ΔH >= 0, and some
+// window must settle. Metropolis and noisy-spins must never set a flag.
+func TestSettledWindowsAreUphill(t *testing.T) {
+	in := tsplib.Generate("settled", 3000, tsplib.StyleClustered, 5)
+	h, err := cluster.Build(in.Cities, cluster.Strategy{Kind: cluster.SemiFlex, P: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	level := h.Levels[1]
+	const span = 15
+	for _, mode := range []Mode{ModeNoisyCIM, ModeMetropolis, ModeGreedy, ModeNoisySpins} {
+		for _, workers := range []int{1, 2} {
+			o := solveOpts(mode, 4).withDefaults()
+			o.Workers = workers
+			ex := newExecutor(o, in.N())
+			state := newLevelState(level)
+			ex.buildLevel(state, &o)
+			// scratch holds the same codes; its memo only ever holds what
+			// the check below computed since the last drop.
+			scratchEx := newExecutor(Options{Workers: 1}, in.N())
+			scratch := newLevelState(level)
+			scratchEx.buildLevel(scratch, &o)
+			scratchEx.close()
+			nc := len(state.orders)
+			temp := metropolisTemp(state)
+			wbs := updateWriteBacks(t, &o)
+			iters := span * len(wbs)
+			checked := 0
+			for iter := 0; iter < iters; iter++ {
+				wb := wbs[iter/span]
+				if iter%span == 0 {
+					state.chip.WriteBack(wb.ep, wb.nLSB)
+					ex.retune()
+				}
+				job := &ex.job
+				job.kind = jobUpdatePhase
+				job.key = iterKey(o.Seed, 1, iter)
+				job.temp = temp * (1 - float64(iter)/float64(iters))
+				vdd, _ := o.Schedule.At(iter)
+				job.epoch = o.Fabric.At(vdd)
+				for si := range ex.plan.steps {
+					st := &ex.plan.steps[si]
+					job.phase = st.phase
+					ex.runStep(job, st)
+					if !mode.settles() {
+						if n := settledCount(state); n != 0 {
+							t.Fatalf("%v workers=%d iter %d: %d windows settled", mode, workers, iter, n)
+						}
+						continue
+					}
+					// Re-entering the epoch through a noisy one drops the
+					// scratch memo and reads every code afresh.
+					scratch.chip.WriteBack(wb.ep, 1)
+					scratch.chip.WriteBack(wb.ep, wb.nLSB)
+					for w := 0; w < nc; w++ {
+						if !state.chip.Settled(w) {
+							continue
+						}
+						checked++
+						p := int(state.sizes[w])
+						prev, next := state.orders[(w-1+nc)%nc], (w+1)%nc
+						for j := 1; j < p; j++ {
+							for i := 0; i < j; i++ {
+								d := scratch.chip.SwapDelta(w, state.orders[w], prev.Last(), state.orders[next].First(int(state.sizes[next])), i, j)
+								if d < 0 {
+									t.Fatalf("%v workers=%d iter %d: settled window %d has pair (%d,%d) at ΔH %d",
+										mode, workers, iter, w, i, j, d)
+								}
+							}
+						}
+					}
+				}
+			}
+			ex.close()
+			if mode.settles() && checked == 0 {
+				t.Fatalf("%v workers=%d: no window ever settled", mode, workers)
+			}
+		}
+	}
+}
+
+// TestDrawPassMatchesProposal pins drawPass's inlined hash and direct
+// remainders to the proposal oracle for every cluster size 2 to 8 over
+// many keys: each batch must keep exactly the oracle's draws with
+// i != j, in batch order, each with its clusterKey.
+func TestDrawPassMatchesProposal(t *testing.T) {
+	// Cluster ci has 2 + ci%7 children, so every batch mixes all sizes.
+	const nc = 7 * drawBatch
+	state := &levelState{sizes: make([]uint8, nc)}
+	phase := make([]int, nc)
+	for ci := range phase {
+		state.sizes[ci] = uint8(2 + ci%7)
+		phase[ci] = ci
+	}
+	var buf [drawBatch]draw
+	draws := 0
+	for _, seed := range []uint64{0, 7, 1 << 63, 0xfeedface} {
+		for level := 0; level < 14; level += 3 {
+			for iter := 0; iter < 400; iter += 13 {
+				key := iterKey(seed, level, iter)
+				for start := 0; start < nc; start += drawBatch {
+					batch := phase[start : start+drawBatch]
+					n := drawPass(state, batch, key, &buf)
+					k := 0
+					for _, ci := range batch {
+						hc := clusterKey(key, ci)
+						i, j := proposal(hc, int(state.sizes[ci]))
+						if i == j {
+							continue
+						}
+						want := draw{hc: hc, ci: int32(ci), i: uint8(i), j: uint8(j)}
+						if k >= n || buf[k] != want {
+							t.Fatalf("seed %d level %d iter %d cluster %d: draw %d of %d is %+v, oracle %+v",
+								seed, level, iter, ci, k, n, buf[min(k, n)], want)
+						}
+						k++
+						draws++
+					}
+					if k != n {
+						t.Fatalf("seed %d level %d iter %d: drawPass kept %d draws, oracle %d", seed, level, iter, n, k)
+					}
+				}
+			}
+		}
+	}
+	if draws < 100000 {
+		t.Fatalf("only %d draws compared", draws)
 	}
 }
 
