@@ -238,10 +238,10 @@ func TestSettledWindowsAreUphill(t *testing.T) {
 						}
 						checked++
 						p := int(state.sizes[w])
-						prev, next := state.orders[(w-1+nc)%nc], (w+1)%nc
+						prev, next := (w+nc-1)%nc, (w+1)%nc
 						for j := 1; j < p; j++ {
 							for i := 0; i < j; i++ {
-								d := scratch.chip.SwapDelta(w, state.orders[w], prev.Last(), state.orders[next].First(int(state.sizes[next])), i, j)
+								d := scratch.chip.SwapDelta(w, state.orders[w], state.orders[prev].Last(), state.orders[next].First(int(state.sizes[next])), i, j)
 								if d < 0 {
 									t.Fatalf("%v workers=%d iter %d: settled window %d has pair (%d,%d) at ΔH %d",
 										mode, workers, iter, w, i, j, d)
