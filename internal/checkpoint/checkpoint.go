@@ -396,34 +396,40 @@ func (s *Snapshot) Verify(in *tsplib.Instance, exp Expect) error {
 	return nil
 }
 
-// Save writes the snapshot to path atomically: a temp file in the same
-// directory is written, fsynced, then renamed over path, and the
-// directory entry is fsynced. A crash at any point leaves either the
-// previous complete file or the new complete file — never a torn one.
-// Stale temp files from a crashed writer are simply overwritten.
+// Save writes the snapshot to path atomically (see WriteFile).
 func Save(path string, s *Snapshot) error {
+	if err := WriteFile(path, func(w io.Writer) error { return Encode(w, s) }); err != nil {
+		return fmt.Errorf("checkpoint: save: %w", err)
+	}
+	return nil
+}
+
+// WriteFile replaces path atomically with what write produces: write
+// fills a temp file in the same directory, which is fsynced, then
+// renamed over path, and the directory entry is fsynced. A crash at any
+// point leaves either the previous complete file or the new complete
+// file, never a torn one. If any step fails, the temp file is removed
+// and path is left as it was. Stale temp files from a crashed writer
+// are simply overwritten.
+func WriteFile(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
+		return err
 	}
-	if err := Encode(f, s); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: save %s: %w", tmp, err)
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: sync %s: %w", tmp, err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: close %s: %w", tmp, err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: rename: %w", err)
+		return err
 	}
 	if dir, err := os.Open(filepath.Dir(path)); err == nil {
 		// Best effort: persist the directory entry too. Some filesystems

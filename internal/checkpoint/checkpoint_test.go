@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -238,6 +239,44 @@ func TestSaveLoadAtomic(t *testing.T) {
 	}
 	if _, err := Load(path); err != nil {
 		t.Fatalf("torn temp file broke Load: %v", err)
+	}
+}
+
+// TestWriteFileFailedWriteKeepsPrevious fails the write callback midway
+// (after part of the new content went out, and over a stale temp file
+// from a crashed writer): the previous file must survive byte for byte
+// and no temp file may remain.
+func TestWriteFileFailedWriteKeepsPrevious(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state")
+	prev := []byte("previous complete content\n")
+	if err := WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(prev)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".tmp", []byte("torn garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteFile(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("half of the next")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteFile returned %v, want the callback's error", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, prev) {
+		t.Fatalf("failed write changed the file to %q", got)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("failed write left its temp file behind (stat: %v)", err)
 	}
 }
 

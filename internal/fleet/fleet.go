@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -31,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"cimsa/internal/checkpoint"
 	"cimsa/internal/fairsched"
 	"cimsa/internal/problem"
 )
@@ -446,13 +448,11 @@ func (c *Coordinator) ShipCheckpoint(jobID, nodeName string, token uint64, name 
 		return fmt.Errorf("fleet: checkpoint dir: %w", err)
 	}
 	path := filepath.Join(dir, base)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := checkpoint.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("fleet: checkpoint write: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: checkpoint rename: %w", err)
 	}
 	if onWrite != nil {
 		onWrite(path)

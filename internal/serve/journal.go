@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"cimsa/internal/checkpoint"
 )
 
 // Journal durably records job submissions so a restarted server can
@@ -86,42 +89,26 @@ func OpenJournal(path string) (*Journal, []JournalEntry, error) {
 	// Compact: rewrite only the live submits, atomically, then append
 	// from there. A crash between rename and reopen loses nothing — the
 	// compacted file is complete.
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: compact: %w", err)
-	}
-	for _, e := range live {
-		rec := journalRecord{Op: "submit", ID: e.ID, Problem: e.Problem, Tenant: e.Tenant, Submitted: e.Submitted, Request: e.Request}
-		if err := appendRecord(f, rec); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return nil, nil, err
-		}
-		if e.ClaimedBy != "" {
-			// An outstanding claim survives compaction right behind its
-			// submit, so the who-held-this-last trail is as durable as the
-			// job itself.
-			claim := journalRecord{Op: "claim", ID: e.ID, Node: e.ClaimedBy, Expires: e.ClaimExpires}
-			if err := appendRecord(f, claim); err != nil {
-				f.Close()
-				os.Remove(tmp)
-				return nil, nil, err
+	err = checkpoint.WriteFile(path, func(w io.Writer) error {
+		for _, e := range live {
+			rec := journalRecord{Op: "submit", ID: e.ID, Problem: e.Problem, Tenant: e.Tenant, Submitted: e.Submitted, Request: e.Request}
+			if err := appendRecord(w, rec); err != nil {
+				return err
+			}
+			if e.ClaimedBy != "" {
+				// An outstanding claim survives compaction right behind its
+				// submit, so the who-held-this-last trail is as durable as the
+				// job itself.
+				claim := journalRecord{Op: "claim", ID: e.ID, Node: e.ClaimedBy, Expires: e.ClaimExpires}
+				if err := appendRecord(w, claim); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, nil, fmt.Errorf("journal: sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, nil, fmt.Errorf("journal: close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, nil, fmt.Errorf("journal: rename: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: compact: %w", err)
 	}
 	out, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -194,13 +181,13 @@ func replayJournal(path string) ([]JournalEntry, error) {
 	return entries, nil
 }
 
-func appendRecord(f *os.File, rec journalRecord) error {
+func appendRecord(w io.Writer, rec journalRecord) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("journal: marshal: %w", err)
 	}
 	data = append(data, '\n')
-	if _, err := f.Write(data); err != nil {
+	if _, err := w.Write(data); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	return nil
