@@ -12,8 +12,8 @@ import (
 
 // TestUserJourney walks the full adoption path a downstream user takes:
 // generate a workload, serialize it to TSPLIB format, load it back,
-// solve with two modes, persist the tour, re-load the tour, verify its
-// length, and render it — every public surface in one flow.
+// solve with two modes, verify the tour's length, and render it —
+// every public surface in one flow.
 func TestUserJourney(t *testing.T) {
 	// 1. Generate and serialize a workload.
 	orig := cimsa.GenerateInstance("journey", 300, 77)
@@ -44,29 +44,17 @@ func TestUserJourney(t *testing.T) {
 		t.Fatal("degenerate solves")
 	}
 
-	// 4. Persist and re-load the tour.
-	var tourFile bytes.Buffer
-	if err := tsplib.WriteTour(&tourFile, rep.Instance, rep.Tour); err != nil {
+	// 4. The reported tour is valid and measures the reported length.
+	if err := rep.Tour.Validate(in.N()); err != nil {
 		t.Fatal(err)
 	}
-	order, err := tsplib.ParseTour(&tourFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != in.N() {
-		t.Fatalf("tour round trip lost cities: %d", len(order))
-	}
-	var reloaded cimsa.Tour = order
-	if err := reloaded.Validate(in.N()); err != nil {
-		t.Fatal(err)
-	}
-	if got := reloaded.Length(in); got != rep.Length {
-		t.Fatalf("reloaded tour measures %v, solve reported %v", got, rep.Length)
+	if got := rep.Tour.Length(in); got != rep.Length {
+		t.Fatalf("tour measures %v, solve reported %v", got, rep.Length)
 	}
 
 	// 5. Render to SVG.
 	var svg bytes.Buffer
-	if err := viz.WriteSVG(&svg, in, reloaded, viz.Options{Title: "journey"}); err != nil {
+	if err := viz.WriteSVG(&svg, in, rep.Tour, viz.Options{Title: "journey"}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(svg.String(), "</svg>") {

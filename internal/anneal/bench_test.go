@@ -1,6 +1,7 @@
 package anneal_test
 
 import (
+	"context"
 	"testing"
 
 	"cimsa/internal/anneal"
@@ -46,7 +47,11 @@ func benchMetropolis(b *testing.B, m *ising.Model, opts anneal.Options) {
 	for i := 0; i < b.N; i++ {
 		copy(spins, anneal.RandomSpins(m.N, uint64(i)))
 		opts.Seed = uint64(i)
-		proposed += anneal.Ising(m, spins, opts).Proposed
+		res, err := anneal.IsingContext(context.Background(), m, spins, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		proposed += res.Proposed
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(proposed), "ns/proposal")
 }

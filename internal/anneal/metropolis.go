@@ -14,20 +14,17 @@ type Result struct {
 	Energy float64
 	// Accepted and Proposed count Metropolis decisions.
 	Accepted, Proposed int
-	// Trace, if requested, holds the current energy after each sweep.
-	Trace []float64
 }
 
 // Options configures an annealing run.
 type Options struct {
 	// Sweeps is the number of full passes over all spins.
 	Sweeps int
-	// Schedule supplies the temperature; defaults to Geometric{10, 0.01}.
-	Schedule Schedule
+	// Schedule supplies the temperature; the zero value means
+	// Geometric{10, 0.01}.
+	Schedule Geometric
 	// Seed seeds the Metropolis randomness.
 	Seed uint64
-	// RecordTrace stores the energy after every sweep in Result.Trace.
-	RecordTrace bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -35,27 +32,20 @@ func (o *Options) withDefaults() Options {
 	if out.Sweeps == 0 {
 		out.Sweeps = 100
 	}
-	if out.Schedule == nil {
+	if out.Schedule == (Geometric{}) {
 		out.Schedule = Geometric{Start: 10, End: 0.01}
 	}
 	return out
 }
 
-// Ising runs single-spin-flip Metropolis annealing on a general Ising
-// model, mutating spins in place, and returns the run summary. The final
-// spin state is the last accepted state (not necessarily the best). It
-// anneals the model's compiled sparse view, so a proposal costs
-// O(degree) rather than O(N).
-func Ising(m *ising.Model, spins []int8, opts Options) Result {
-	res, _ := IsingContext(context.Background(), m, spins, opts)
-	return res
-}
-
-// IsingContext is Ising with cooperative cancellation. The context is
-// checked only at sweep boundaries and the check consumes no
-// randomness, so a run whose context is never cancelled is
-// bit-identical to Ising. On cancellation the partial result is
-// returned along with ctx.Err().
+// IsingContext runs single-spin-flip Metropolis annealing on a general
+// Ising model, mutating spins in place, and returns the run summary. The
+// final spin state is the last accepted state (not necessarily the
+// best). It anneals the model's compiled sparse view, so a proposal
+// costs O(degree) rather than O(N). The context is checked only at
+// sweep boundaries and the check consumes no randomness, so a run whose
+// context is never cancelled does not depend on it. On cancellation the
+// partial result is returned along with ctx.Err().
 func IsingContext(ctx context.Context, m *ising.Model, spins []int8, opts Options) (Result, error) {
 	o := opts.withDefaults()
 	r := rng.New(o.Seed)
@@ -79,9 +69,6 @@ func IsingContext(ctx context.Context, m *ising.Model, spins []int8, opts Option
 					res.Energy = cur
 				}
 			}
-		}
-		if o.RecordTrace {
-			res.Trace = append(res.Trace, cur)
 		}
 	}
 	return res, nil

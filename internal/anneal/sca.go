@@ -18,12 +18,6 @@ import (
 type SCAOptions struct {
 	// Steps is the number of synchronous update rounds.
 	Steps int
-	// TStart/TEnd bound the geometric temperature schedule. Zero values
-	// scale automatically to the coupling magnitudes.
-	TStart, TEnd float64
-	// QStart/QEnd bound the linearly increasing self-interaction penalty.
-	// Zero values scale automatically.
-	QStart, QEnd float64
 	// Seed drives the per-spin randomness.
 	Seed uint64
 }
@@ -44,7 +38,9 @@ type SCAResult struct {
 // Each round, every spin independently samples its next value from the
 // logistic distribution of its local field plus the self-interaction
 // q·σ_i, using the *previous* round's state — fully parallel, like the
-// hardware it models.
+// hardware it models. Both schedules scale to the mean absolute
+// coupling |J|: T cools geometrically from 2|J|√N to a thousandth of
+// that, and q rises linearly from 0 to 2|J|√N.
 func SCA(m *ising.Model, opts SCAOptions) (SCAResult, error) {
 	return SCAContext(context.Background(), m, opts)
 }
@@ -78,19 +74,12 @@ func SCAContext(ctx context.Context, m *ising.Model, opts SCAOptions) (SCAResult
 	if count > 0 {
 		meanJ = sum / float64(count)
 	}
-	if o.TStart == 0 {
-		o.TStart = 2 * meanJ * math.Sqrt(float64(m.N))
-	}
-	if o.TEnd == 0 {
-		o.TEnd = o.TStart / 1000
-	}
-	if o.QEnd == 0 {
-		// The penalty must eventually dominate the *typical* local field
-		// (~meanJ*sqrt(degree)) so the synchronous dynamics cannot
-		// 2-cycle, without swamping it so early that the search freezes
-		// prematurely.
-		o.QEnd = 2 * meanJ * math.Sqrt(float64(m.N))
-	}
+	tStart := 2 * meanJ * math.Sqrt(float64(m.N))
+	tEnd := tStart / 1000
+	// The penalty must eventually dominate the *typical* local field
+	// (~meanJ*sqrt(degree)) so the synchronous dynamics cannot 2-cycle,
+	// without swamping it so early that the search freezes prematurely.
+	qEnd := 2 * meanJ * math.Sqrt(float64(m.N))
 	r := rng.New(o.Seed)
 	spins := make([]int8, m.N)
 	for i := range spins {
@@ -113,8 +102,8 @@ func SCAContext(ctx context.Context, m *ising.Model, opts SCAOptions) (SCAResult
 			return res, err
 		}
 		frac := float64(step) / float64(o.Steps-1+1)
-		temp := o.TStart * math.Pow(o.TEnd/o.TStart, frac)
-		q := o.QStart + frac*(o.QEnd-o.QStart)
+		temp := tStart * math.Pow(tEnd/tStart, frac)
+		q := frac * qEnd
 		for i := 0; i < m.N; i++ {
 			fields[i] = sp.LocalField(spins, i) + q*float64(spins[i])
 		}

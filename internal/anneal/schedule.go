@@ -1,16 +1,11 @@
-// Package anneal implements classical simulated annealing: temperature
-// schedules, a generic Metropolis engine over Ising models, and a
-// CPU-baseline TSP annealer using the PBM swap move. These are the
-// software baselines the paper's hardware annealer is compared against.
+// Package anneal implements classical simulated annealing: a geometric
+// temperature schedule, a generic Metropolis engine over Ising models,
+// stochastic cellular automata, and CPU-baseline TSP annealers using the
+// PBM swap move. These are the software baselines the paper's hardware
+// annealer is compared against.
 package anneal
 
 import "math"
-
-// Schedule yields the temperature for a given iteration in [0, steps).
-type Schedule interface {
-	// Temperature returns T at iteration it of total steps.
-	Temperature(it, steps int) float64
-}
 
 // Geometric cools T from Start to End geometrically: the classic SA
 // schedule.
@@ -18,7 +13,7 @@ type Geometric struct {
 	Start, End float64
 }
 
-// Temperature implements Schedule.
+// Temperature returns T at iteration it of total steps.
 func (g Geometric) Temperature(it, steps int) float64 {
 	if steps <= 1 {
 		return g.End
@@ -26,25 +21,3 @@ func (g Geometric) Temperature(it, steps int) float64 {
 	frac := float64(it) / float64(steps-1)
 	return g.Start * math.Pow(g.End/g.Start, frac)
 }
-
-// Linear cools T from Start to End linearly.
-type Linear struct {
-	Start, End float64
-}
-
-// Temperature implements Schedule.
-func (l Linear) Temperature(it, steps int) float64 {
-	if steps <= 1 {
-		return l.End
-	}
-	frac := float64(it) / float64(steps-1)
-	return l.Start + frac*(l.End-l.Start)
-}
-
-// Constant holds T fixed; useful for ablations and sampling tests.
-type Constant struct {
-	T float64
-}
-
-// Temperature implements Schedule.
-func (c Constant) Temperature(_, _ int) float64 { return c.T }

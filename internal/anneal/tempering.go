@@ -1,7 +1,6 @@
 package anneal
 
 import (
-	"context"
 	"math"
 
 	"cimsa/internal/ising"
@@ -14,11 +13,6 @@ import (
 // permutational Boltzmann machine of the paper's reference [5] runs its
 // PBM replicas under exactly this scheme).
 type TemperingOptions struct {
-	// Replicas is the number of parallel chains (≥ 2).
-	Replicas int
-	// TMin, TMax bound the geometric temperature ladder. Zero values
-	// scale automatically to the instance's edge lengths.
-	TMin, TMax float64
 	// Sweeps is the number of update rounds; each round proposes N swaps
 	// per replica and then attempts neighbour exchanges.
 	Sweeps int
@@ -39,26 +33,18 @@ type TemperingResult struct {
 	ExchangeAttempts int
 }
 
-// TemperingTSP runs parallel tempering with the PBM swap move: several
+// temperingReplicas is the number of parallel chains.
+const temperingReplicas = 4
+
+// TemperingTSP runs parallel tempering with the PBM swap move: four
 // replicas anneal at fixed temperatures and periodically exchange
 // configurations, letting hot replicas ferry the search out of local
-// minima that trap the cold ones. It is the strongest classical baseline
-// in this repository.
+// minima that trap the cold ones. The geometric temperature ladder runs
+// from the initial tour's mean edge length down to 1/200 of it. It is
+// the strongest classical baseline in this repository.
 func TemperingTSP(in *tsplib.Instance, opts TemperingOptions) TemperingResult {
-	res, _ := TemperingTSPContext(context.Background(), in, opts)
-	return res
-}
-
-// TemperingTSPContext is TemperingTSP with cooperative cancellation,
-// checked at sweep boundaries without consuming randomness: an
-// uncancelled run is bit-identical to TemperingTSP. On cancellation the
-// best tour found so far is returned along with ctx.Err().
-func TemperingTSPContext(ctx context.Context, in *tsplib.Instance, opts TemperingOptions) (TemperingResult, error) {
 	n := in.N()
 	o := opts
-	if o.Replicas < 2 {
-		o.Replicas = 4
-	}
 	if o.Sweeps == 0 {
 		o.Sweeps = 200
 	}
@@ -66,17 +52,13 @@ func TemperingTSPContext(ctx context.Context, in *tsplib.Instance, opts Temperin
 	if o.Initial != nil {
 		base = o.Initial.Clone()
 	}
-	if o.TMax == 0 {
-		o.TMax = base.Length(in) / float64(n) // ~mean edge length
-	}
-	if o.TMin == 0 {
-		o.TMin = o.TMax / 200
-	}
+	tMax := base.Length(in) / float64(n) // ~mean edge length
+	tMin := tMax / 200
 	// Geometric ladder from cold (index 0) to hot.
-	temps := make([]float64, o.Replicas)
+	temps := make([]float64, temperingReplicas)
 	for r := range temps {
-		frac := float64(r) / float64(o.Replicas-1)
-		temps[r] = o.TMin * math.Pow(o.TMax/o.TMin, frac)
+		frac := float64(r) / float64(temperingReplicas-1)
+		temps[r] = tMin * math.Pow(tMax/tMin, frac)
 	}
 	rand := rng.New(o.Seed)
 	model := localTSP{in: in}
@@ -86,7 +68,7 @@ func TemperingTSPContext(ctx context.Context, in *tsplib.Instance, opts Temperin
 		length float64
 		r      *rng.Rand
 	}
-	reps := make([]*replica, o.Replicas)
+	reps := make([]*replica, temperingReplicas)
 	for i := range reps {
 		t := base.Clone()
 		reps[i] = &replica{order: t, length: t.Length(in), r: rand.Split()}
@@ -96,11 +78,6 @@ func TemperingTSPContext(ctx context.Context, in *tsplib.Instance, opts Temperin
 
 	res := TemperingResult{}
 	for sweep := 0; sweep < o.Sweeps; sweep++ {
-		if err := ctx.Err(); err != nil {
-			res.Tour = best
-			res.Length = best.Length(in)
-			return res, err
-		}
 		for ri, rep := range reps {
 			temp := temps[ri]
 			for step := 0; step < n; step++ {
@@ -122,7 +99,7 @@ func TemperingTSPContext(ctx context.Context, in *tsplib.Instance, opts Temperin
 		// Neighbour exchanges, alternating parity to keep detailed
 		// balance across the ladder.
 		start := sweep % 2
-		for ri := start; ri+1 < o.Replicas; ri += 2 {
+		for ri := start; ri+1 < temperingReplicas; ri += 2 {
 			res.ExchangeAttempts++
 			a, b := reps[ri], reps[ri+1]
 			// Metropolis exchange criterion on inverse temperatures.
@@ -135,17 +112,12 @@ func TemperingTSPContext(ctx context.Context, in *tsplib.Instance, opts Temperin
 			}
 		}
 	}
-	// Final quench: the coldest replica still runs at TMin > 0, so finish
+	// Final quench: the coldest replica still runs at tMin > 0, so finish
 	// the best configuration with zero-temperature sweeps (accept only
 	// strict improvements) until no proposal in a sweep lands.
 	quench := rand.Split()
 	bestOrder := []int(best)
 	for sweep := 0; sweep < 20; sweep++ {
-		if err := ctx.Err(); err != nil {
-			res.Tour = best
-			res.Length = best.Length(in)
-			return res, err
-		}
 		improved := false
 		for step := 0; step < 4*n; step++ {
 			i, j := quench.Intn(n), quench.Intn(n)
@@ -163,5 +135,5 @@ func TemperingTSPContext(ctx context.Context, in *tsplib.Instance, opts Temperin
 	}
 	res.Tour = best
 	res.Length = best.Length(in)
-	return res, nil
+	return res
 }

@@ -8,7 +8,7 @@ import (
 
 func TestTemperingValidAndImproves(t *testing.T) {
 	in := tsplib.Generate("pt-basic", 80, tsplib.StyleUniform, 1)
-	res := TemperingTSP(in, TemperingOptions{Replicas: 4, Sweeps: 150, Seed: 1})
+	res := TemperingTSP(in, TemperingOptions{Sweeps: 150, Seed: 1})
 	if err := res.Tour.Validate(in.N()); err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestTemperingValidAndImproves(t *testing.T) {
 
 func TestTemperingExchangesHappen(t *testing.T) {
 	in := tsplib.Generate("pt-exch", 60, tsplib.StyleClustered, 2)
-	res := TemperingTSP(in, TemperingOptions{Replicas: 6, Sweeps: 100, Seed: 3})
+	res := TemperingTSP(in, TemperingOptions{Sweeps: 100, Seed: 3})
 	if res.ExchangeAttempts == 0 {
 		t.Fatal("no exchanges attempted")
 	}
@@ -37,8 +37,8 @@ func TestTemperingExchangesHappen(t *testing.T) {
 
 func TestTemperingDeterministic(t *testing.T) {
 	in := tsplib.Generate("pt-det", 50, tsplib.StyleUniform, 4)
-	a := TemperingTSP(in, TemperingOptions{Replicas: 4, Sweeps: 60, Seed: 5})
-	b := TemperingTSP(in, TemperingOptions{Replicas: 4, Sweeps: 60, Seed: 5})
+	a := TemperingTSP(in, TemperingOptions{Sweeps: 60, Seed: 5})
+	b := TemperingTSP(in, TemperingOptions{Sweeps: 60, Seed: 5})
 	if a.Length != b.Length || a.Exchanges != b.Exchanges {
 		t.Fatalf("runs differ: %v/%d vs %v/%d", a.Length, a.Exchanges, b.Length, b.Exchanges)
 	}
@@ -52,7 +52,7 @@ func TestTemperingBeatsOrMatchesSingleChain(t *testing.T) {
 	var pt, sa float64
 	for seed := uint64(0); seed < 3; seed++ {
 		in := tsplib.Generate("pt-vs-sa", 70, tsplib.StyleClustered, 10+seed)
-		ptRes := TemperingTSP(in, TemperingOptions{Replicas: 4, Sweeps: 150, Seed: seed})
+		ptRes := TemperingTSP(in, TemperingOptions{Sweeps: 150, Seed: seed})
 		saRes := TSP(in, TSPOptions{Sweeps: 150, Seed: seed})
 		pt += ptRes.Length
 		sa += saRes.Length
@@ -73,7 +73,7 @@ func TestTemperingDefaults(t *testing.T) {
 func TestTemperingWarmStart(t *testing.T) {
 	in := tsplib.Generate("pt-warm", 60, tsplib.StyleUniform, 8)
 	warm := TSP(in, TSPOptions{Sweeps: 200, Seed: 9}).Tour
-	res := TemperingTSP(in, TemperingOptions{Replicas: 3, Sweeps: 40, Seed: 10, Initial: warm})
+	res := TemperingTSP(in, TemperingOptions{Sweeps: 40, Seed: 10, Initial: warm})
 	if res.Length > warm.Length(in)+1e-9 {
 		t.Fatalf("warm start regressed: %v > %v", res.Length, warm.Length(in))
 	}
@@ -83,6 +83,6 @@ func BenchmarkTempering100(b *testing.B) {
 	in := tsplib.Generate("pt-bench", 100, tsplib.StyleUniform, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TemperingTSP(in, TemperingOptions{Replicas: 4, Sweeps: 30, Seed: uint64(i)})
+		TemperingTSP(in, TemperingOptions{Sweeps: 30, Seed: uint64(i)})
 	}
 }

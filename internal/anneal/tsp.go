@@ -13,30 +13,25 @@ type TSPResult struct {
 	Length float64
 	// Proposed/Accepted count swap proposals.
 	Proposed, Accepted int
-	// Trace, if requested, holds tour length after each sweep.
-	Trace []float64
 }
 
 // TSPOptions configures the CPU-baseline TSP annealer.
 type TSPOptions struct {
 	// Sweeps is the number of passes; each pass proposes N swaps.
 	Sweeps int
-	// Schedule supplies the temperature. The default scales the start
-	// temperature to the mean edge length so acceptance starts high.
-	Schedule Schedule
 	// Seed seeds proposals and Metropolis decisions.
 	Seed uint64
 	// Initial is the starting tour; defaults to the identity order.
 	Initial tour.Tour
-	// RecordTrace stores tour length after each sweep.
-	RecordTrace bool
 }
 
 // TSP runs the classical CPU simulated-annealing baseline: PBM-style
 // order swaps under a Metropolis criterion. This is the software
 // reference point for the paper's convergence-speed comparison: the same
 // move set as the hardware, but temperature-driven randomness instead of
-// noisy SRAM weights, and one sequential update at a time.
+// noisy SRAM weights, and one sequential update at a time. The schedule
+// cools geometrically from the initial tour's mean edge length, so
+// acceptance starts high, to a thousandth of it.
 func TSP(in *tsplib.Instance, opts TSPOptions) TSPResult {
 	n := in.N()
 	o := opts
@@ -49,12 +44,8 @@ func TSP(in *tsplib.Instance, opts TSPOptions) TSPResult {
 	} else {
 		t = tour.New(n)
 	}
-	if o.Schedule == nil {
-		// Scale the schedule to the instance: start near the mean edge
-		// length of the initial tour, end near zero.
-		mean := t.Length(in) / float64(n)
-		o.Schedule = Geometric{Start: mean, End: mean / 1000}
-	}
+	mean := t.Length(in) / float64(n)
+	schedule := Geometric{Start: mean, End: mean / 1000}
 	r := rng.New(o.Seed)
 	order := []int(t)
 	cur := t.Length(in)
@@ -62,10 +53,10 @@ func TSP(in *tsplib.Instance, opts TSPOptions) TSPResult {
 	best := t.Clone()
 
 	// The swap delta is evaluated through the Ising local-energy identity
-	// (four MACs), exactly as the hardware would; see ising.SwapLocalDelta.
+	// (four MACs), exactly as the hardware would.
 	tspModel := localTSP{in: in}
 	for sweep := 0; sweep < o.Sweeps; sweep++ {
-		temp := o.Schedule.Temperature(sweep, o.Sweeps)
+		temp := schedule.Temperature(sweep, o.Sweeps)
 		for step := 0; step < n; step++ {
 			i, j := r.Intn(n), r.Intn(n)
 			if i == j {
@@ -83,9 +74,6 @@ func TSP(in *tsplib.Instance, opts TSPOptions) TSPResult {
 				}
 			}
 		}
-		if o.RecordTrace {
-			res.Trace = append(res.Trace, cur)
-		}
 	}
 	res.Tour = best
 	res.Length = best.Length(in) // re-measure to shed float drift
@@ -99,9 +87,9 @@ type localTSP struct {
 	in *tsplib.Instance
 }
 
-// swapDelta mirrors ising.TSP.SwapLocalDelta: four local spin energies,
-// two before and two after the swap. The shared-edge double count
-// cancels for adjacent positions.
+// swapDelta is the Eq. 3 local-energy form of a swap: four local spin
+// energies, two before and two after the swap. The shared-edge double
+// count cancels for adjacent positions.
 func (m localTSP) swapDelta(order []int, i, j int) float64 {
 	n := len(order)
 	k, l := order[i], order[j]

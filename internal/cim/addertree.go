@@ -12,21 +12,12 @@ package cim
 
 // AdderTree reduces one window column: n one-bit products per bit plane,
 // then shift-and-add across the 8 planes. It mirrors the hardware
-// structure so depth and adder counts are available to the PPA model;
+// structure so its adder count is available to the PPA model;
 // the bit-serial reduction itself is the tests' oracle (SumColumn in
 // reference_test.go), which the swap kernel's column sums must equal.
 type AdderTree struct {
 	// Inputs is the number of one-bit products the tree sums (p²+2p).
 	Inputs int
-}
-
-// Depth returns the number of full-adder stages: ceil(log2(Inputs)).
-func (t AdderTree) Depth() int {
-	d := 0
-	for n := t.Inputs; n > 1; n = (n + 1) / 2 {
-		d++
-	}
-	return d
 }
 
 // AdderCount approximates the number of single-bit full adders in the

@@ -41,11 +41,6 @@ func GeometryFor(pMax int) (ArrayGeometry, error) {
 	return ArrayGeometry{PMax: pMax, CellRows: rows, CellCols: cols, WeightBits: 8}, nil
 }
 
-// WeightsPerArray returns the number of 8-bit weights one array stores.
-func (g ArrayGeometry) WeightsPerArray() int {
-	return WindowsPerArray * ProvisionedRows(g.PMax) * ProvisionedCols(g.PMax)
-}
-
 // Cycle-accurate constants for the update pipeline (Fig. 5a): the spin
 // states before the swap feed the MACs in two cycles, the states after
 // the swap in two more, and one cycle compares the energies and updates

@@ -19,15 +19,6 @@ func TestNorMultiplyTruthTable(t *testing.T) {
 	}
 }
 
-func TestAdderTreeDepth(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 3: 2, 8: 3, 15: 4, 24: 5}
-	for n, want := range cases {
-		if got := (AdderTree{Inputs: n}).Depth(); got != want {
-			t.Errorf("depth(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestAdderTreeAdderCount(t *testing.T) {
 	if (AdderTree{Inputs: 1}).AdderCount(8) != 0 {
 		t.Fatal("single input needs no adders")
@@ -158,8 +149,6 @@ func TestWindowLocalEnergyMatchesFloatModel(t *testing.T) {
 	var scratch []uint8
 	for i := 0; i < 3; i++ {
 		k := in.Order[i]
-		got := w.Quant.Dequantize(0) // 0, reused below for clarity
-		_ = got
 		e := w.LocalEnergy(in, i, k, scratch)
 		// Expected: distances to the neighbours of slot i.
 		want := 0.0
@@ -500,17 +489,6 @@ func TestMaskWeights(t *testing.T) {
 				t.Fatal("no-op mask changed weights")
 			}
 		}
-	}
-}
-
-func TestWeightsPerArray(t *testing.T) {
-	g, err := GeometryFor(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10 windows x 15x9 weights each.
-	if got := g.WeightsPerArray(); got != 10*135 {
-		t.Fatalf("weights per array = %d, want 1350", got)
 	}
 }
 

@@ -114,20 +114,21 @@ func TestVTCSamplingAndLift(t *testing.T) {
 
 func TestReadLiftGrowsAsSupplyFalls(t *testing.T) {
 	p := Params16nm()
+	pd := Transistor{Vth: p.VthN, K: p.KN, N: p.SlopeN}
 	prev := 0.0
 	for _, vdd := range []float64{0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2} {
-		lift := ReadLiftForTest(vdd, p)
+		lift := readLift(vdd, pd, p)
 		if lift < prev-1e-9 {
 			t.Fatalf("read lift shrank as supply fell: %v at vdd=%v (prev %v)", lift, vdd, prev)
 		}
 		prev = lift
 	}
 	// At nominal supply the lift must be a small fraction of VDD.
-	if lift := ReadLiftForTest(0.8, p); lift > 0.25*0.8 {
+	if lift := readLift(0.8, pd, p); lift > 0.25*0.8 {
 		t.Fatalf("nominal read lift too large: %v", lift)
 	}
 	// Deep collapse: lift comparable to or above the latch supply.
-	if lift := ReadLiftForTest(0.2, p); lift < 0.2 {
+	if lift := readLift(0.2, pd, p); lift < 0.2 {
 		t.Fatalf("collapsed read lift too small: %v", lift)
 	}
 }
@@ -171,11 +172,16 @@ func TestPreferredBitStableAcrossVoltages(t *testing.T) {
 	// The preferred flip direction is fabricated-in; for a strongly
 	// mismatched cell it should not depend on the supply choice.
 	p := Params16nm()
+	// The preferred state is the one with the larger read margin.
 	cell := Cell{dN1: 0.08, dN2: -0.08}
-	first := cell.PreferredBit(0.45, p)
+	preferred := func(vdd float64) bool {
+		snm0, snm1 := cell.ReadSNM(vdd, p)
+		return snm1 > snm0
+	}
+	first := preferred(0.45)
 	for _, vdd := range []float64{0.4, 0.5, 0.55} {
-		if got := cell.PreferredBit(vdd, p); got != first {
-			t.Fatalf("preferred bit flipped from %d to %d at vdd=%v", first, got, vdd)
+		if got := preferred(vdd); got != first {
+			t.Fatalf("preferred state changed at vdd=%v", vdd)
 		}
 	}
 }
@@ -339,6 +345,21 @@ func TestErrorModelRate(t *testing.T) {
 	}
 }
 
+// ErrorRatePoint is the Monte Carlo of ErrorRateCurve at one supply,
+// written out cell by cell: the oracle the committed error model is
+// checked against.
+func ErrorRatePoint(p CellParams, vdd float64, nSamples int, seed uint64) float64 {
+	r := rng.New(seed)
+	flips := 0.0
+	for i := 0; i < nSamples; i++ {
+		cell := SampleCell(r, p)
+		// Average both stored polarities: equivalent to random data with
+		// zero sampling variance from the data itself.
+		flips += 0.5 * (cell.FlipProbability(0, vdd, p) + cell.FlipProbability(1, vdd, p))
+	}
+	return flips / float64(nSamples)
+}
+
 func TestDefaultErrorModelMatchesMonteCarlo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("device Monte Carlo")
@@ -367,53 +388,6 @@ func BenchmarkErrorRatePoint100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ErrorRatePoint(p, 0.5, 100, uint64(i))
-	}
-}
-
-func TestHoldSNMExceedsReadSNM(t *testing.T) {
-	p := Params16nm()
-	r := rng.New(23)
-	for i := 0; i < 10; i++ {
-		cell := SampleCell(r, p)
-		for _, vdd := range []float64{0.4, 0.5, 0.6, 0.8} {
-			h0, h1 := cell.HoldSNM(vdd, p)
-			r0, r1 := cell.ReadSNM(vdd, p)
-			if h0 < r0-1e-6 || h1 < r1-1e-6 {
-				t.Fatalf("vdd=%v: hold SNM (%v,%v) below read SNM (%v,%v)", vdd, h0, h1, r0, r1)
-			}
-		}
-	}
-}
-
-func TestHoldStateSurvivesWhereReadFails(t *testing.T) {
-	// The write-back premise: at supplies where the pseudo-read destroys
-	// the state, the held cell is still bistable, so rewriting works.
-	p := Params16nm()
-	var nominal Cell
-	vdd := 0.40
-	h0, _ := nominal.HoldSNM(vdd, p)
-	r0, _ := nominal.ReadSNM(vdd, p)
-	if r0 > 0 {
-		t.Fatalf("expected read collapse at %v V, got SNM %v", vdd, r0)
-	}
-	if h0 <= 0 {
-		t.Fatalf("hold state also collapsed at %v V: %v", vdd, h0)
-	}
-}
-
-func TestHoldSNMScalesWithSupply(t *testing.T) {
-	p := Params16nm()
-	var nominal Cell
-	prev := 0.0
-	for _, vdd := range []float64{0.25, 0.4, 0.6, 0.8} {
-		h0, h1 := nominal.HoldSNM(vdd, p)
-		if h0 <= prev {
-			t.Fatalf("hold SNM not increasing with supply at %v: %v", vdd, h0)
-		}
-		if h0 != h1 {
-			t.Fatalf("nominal cell hold SNM asymmetric: %v vs %v", h0, h1)
-		}
-		prev = h0
 	}
 }
 

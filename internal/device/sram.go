@@ -286,42 +286,17 @@ func (c Cell) FlipProbability(stored uint8, vdd float64, p CellParams) float64 {
 	return 1 - normCDF(snmStored/sigma)
 }
 
-// PreferredBit returns the state the mismatch favours: the one with the
-// larger read margin. Errors are directional — a failing cell flips
-// toward its preferred state — which is why the raw error pattern is
-// spatial, not temporal.
-func (c Cell) PreferredBit(vdd float64, p CellParams) uint8 {
-	snm0, snm1 := c.ReadSNM(vdd, p)
-	if snm1 > snm0 {
-		return 1
-	}
-	return 0
-}
-
 // normCDF is the standard normal CDF.
 func normCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// ErrorRatePoint runs a Monte Carlo over nSamples independently
-// fabricated cells, each storing a random bit, and returns the fraction
-// whose pseudo-read at vdd comes back flipped. This is the experiment
-// behind Fig. 6(b); the paper uses nSamples = 1000.
-func ErrorRatePoint(p CellParams, vdd float64, nSamples int, seed uint64) float64 {
-	r := rng.New(seed)
-	flips := 0.0
-	for i := 0; i < nSamples; i++ {
-		cell := SampleCell(r, p)
-		// Average both stored polarities: equivalent to random data with
-		// zero sampling variance from the data itself.
-		flips += 0.5 * (cell.FlipProbability(0, vdd, p) + cell.FlipProbability(1, vdd, p))
-	}
-	return flips / float64(nSamples)
-}
-
-// ErrorRateCurve evaluates ErrorRatePoint across the supply sweep,
-// reusing one fabricated population for every voltage (the same chip is
-// measured at each V_DD).
+// ErrorRateCurve runs a Monte Carlo over nSamples independently
+// fabricated cells and returns, at each supply of the sweep, the
+// fraction whose pseudo-read of random stored data comes back flipped.
+// One fabricated population is reused for every voltage (the same chip
+// is measured at each V_DD). This is the experiment behind Fig. 6(b);
+// the paper uses nSamples = 1000.
 func ErrorRateCurve(p CellParams, vdds []float64, nSamples int, seed uint64) []float64 {
 	r := rng.New(seed)
 	cells := make([]Cell, nSamples)
@@ -350,32 +325,4 @@ func SweepVDD(step float64) []float64 {
 		out = append(out, math.Round(v*1e6)/1e6)
 	}
 	return out
-}
-
-// ReadLiftForTest exposes the nominal-cell read lift for diagnostics and
-// tests.
-func ReadLiftForTest(vdd float64, p CellParams) float64 {
-	pd := Transistor{Vth: p.VthN, K: p.KN, N: p.SlopeN}
-	return readLift(vdd, pd, p)
-}
-
-// HoldSNM returns the static noise margins with the word line off (no
-// access-transistor disturbance): the condition the cell is in between
-// pseudo-reads and during write-back retention. Hold margins exceed read
-// margins at every supply, which is why the paper's periodic write-back
-// can restore clean weights even while the noisy LSB region runs at a
-// deeply scaled V_DD.
-func (c Cell) HoldSNM(vdd float64, p CellParams) (snm0, snm1 float64) {
-	inv1, inv2 := c.inverters(p)
-	points := p.VTCPoints
-	if points < 8 {
-		points = 8
-	}
-	_, fs := inv1.VTC(vdd, 0, points)
-	_, gs := inv2.VTC(vdd, 0, points)
-	f := curve{vdd: vdd, samples: fs}
-	g := curve{vdd: vdd, samples: gs}
-	snm0 = basinMargin(f, g, 0, 0, vdd)
-	snm1 = basinMargin(g, f, 0, 0, vdd)
-	return
 }

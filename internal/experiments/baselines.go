@@ -80,7 +80,7 @@ func Baselines(cfg Config) ([]BaselineRow, error) {
 		}},
 		{"parallel tempering (4 replicas)", func() tour.Tour {
 			init := heuristics.SpaceFilling(in)
-			return anneal.TemperingTSP(in, anneal.TemperingOptions{Replicas: 4, Sweeps: 80, Seed: c.Seed + 29, Initial: init}).Tour
+			return anneal.TemperingTSP(in, anneal.TemperingOptions{Sweeps: 80, Seed: c.Seed + 29, Initial: init}).Tour
 		}},
 		{"space-filling curve", func() tour.Tour {
 			return heuristics.SpaceFilling(in)

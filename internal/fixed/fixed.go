@@ -49,28 +49,6 @@ func (q Quantizer) Quantize(w float64) uint8 {
 	return uint8(code)
 }
 
-// Dequantize converts a code back to a weight value.
-func (q Quantizer) Dequantize(code uint8) float64 {
-	return float64(code) * q.Scale
-}
-
-// QuantizeAll converts a slice of weights, returning the codes and the
-// quantizer calibrated to the slice maximum.
-func QuantizeAll(ws []float64) ([]uint8, Quantizer) {
-	maxW := 0.0
-	for _, w := range ws {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	q := NewQuantizer(maxW)
-	codes := make([]uint8, len(ws))
-	for i, w := range ws {
-		codes[i] = q.Quantize(w)
-	}
-	return codes, q
-}
-
 // Bit returns bit plane b (0 = LSB) of the code.
 func Bit(code uint8, b int) uint8 {
 	return (code >> uint(b)) & 1
@@ -84,7 +62,3 @@ func SetBit(code uint8, b int, v uint8) uint8 {
 	}
 	return code &^ mask
 }
-
-// MaxQuantError returns the worst-case absolute error introduced by the
-// quantizer for in-range weights: half an LSB.
-func (q Quantizer) MaxQuantError() float64 { return q.Scale / 2 }

@@ -16,9 +16,9 @@ func TestQuantizeRoundTripBound(t *testing.T) {
 		if w > 1000 {
 			w = 1000
 		}
-		code := q.Quantize(w)
-		back := q.Dequantize(code)
-		return math.Abs(back-w) <= q.MaxQuantError()+1e-9
+		// In range, a code is off by at most half an LSB.
+		back := float64(q.Quantize(w)) * q.Scale
+		return math.Abs(back-w) <= q.Scale/2+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -63,36 +63,6 @@ func TestDegenerateQuantizer(t *testing.T) {
 	q := NewQuantizer(0)
 	if q.Quantize(123) != 0 {
 		t.Fatal("degenerate quantizer produced nonzero code")
-	}
-	if q.Dequantize(200) != 0 {
-		t.Fatal("degenerate dequantize nonzero")
-	}
-}
-
-func TestQuantizeAll(t *testing.T) {
-	ws := []float64{0, 10, 20, 40}
-	codes, q := QuantizeAll(ws)
-	if codes[3] != MaxCode {
-		t.Fatalf("max element code = %d", codes[3])
-	}
-	if codes[0] != 0 {
-		t.Fatalf("zero element code = %d", codes[0])
-	}
-	// Relative order preserved.
-	for i := 1; i < len(codes); i++ {
-		if codes[i] < codes[i-1] {
-			t.Fatal("order not preserved")
-		}
-	}
-	if q.Scale != 40.0/MaxCode {
-		t.Fatalf("scale = %v", q.Scale)
-	}
-}
-
-func TestQuantizeAllEmpty(t *testing.T) {
-	codes, q := QuantizeAll(nil)
-	if len(codes) != 0 || q.Scale != 0 {
-		t.Fatal("empty input mishandled")
 	}
 }
 

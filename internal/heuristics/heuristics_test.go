@@ -277,7 +277,7 @@ func TestReferenceQualityMedium(t *testing.T) {
 	// Beardwood-Halton-Hammersley: L* ~ 0.7124 * sqrt(n*A) for uniform
 	// points. The reference solver should be within ~12% of that.
 	b := geom.Bounds(in.Cities)
-	bhh := 0.7124 * math.Sqrt(float64(in.N())*b.Area())
+	bhh := 0.7124 * math.Sqrt(float64(in.N())*b.Width()*b.Height())
 	if ref > 1.15*bhh {
 		t.Fatalf("reference %v too far above BHH estimate %v", ref, bhh)
 	}

@@ -1,8 +1,9 @@
 // Package ising implements the Ising-model substrate of the annealer:
-// a general spin system with coupling matrix J and field h, the full
-// N²-spin TSP formulation (Eq. 3 of the paper) for small instances, and
-// the permutational-Boltzmann-machine (PBM) four-spin swap move that
-// keeps the two-way one-hot constraint satisfied by construction.
+// a general spin system with coupling matrix J and field h, and the
+// permutational-Boltzmann-machine (PBM) four-spin swap move that keeps
+// the two-way one-hot constraint of the N²-spin TSP formulation (Eq. 3
+// of the paper) satisfied by construction. The full formulation is
+// pinned against tour lengths in this package's tests.
 package ising
 
 import (
@@ -96,3 +97,8 @@ func (m *Model) GroundStateEnergyBrute() float64 {
 	}
 	return best
 }
+
+// ApplySwap swaps the cities at positions i and j in place: the PBM
+// move, which keeps both one-hot constraints of the TSP formulation
+// (Eq. 3) satisfied.
+func ApplySwap(order []int, i, j int) { order[i], order[j] = order[j], order[i] }

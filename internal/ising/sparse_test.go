@@ -1,6 +1,7 @@
 package ising_test
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -167,9 +168,6 @@ func denseMetropolis(m *ising.Model, spins []int8, o anneal.Options) anneal.Resu
 				}
 			}
 		}
-		if o.RecordTrace {
-			res.Trace = append(res.Trace, cur)
-		}
 	}
 	return res
 }
@@ -190,15 +188,9 @@ func denseSCA(m *ising.Model, o anneal.SCAOptions) anneal.SCAResult {
 	if count > 0 {
 		meanJ = sum / float64(count)
 	}
-	if o.TStart == 0 {
-		o.TStart = 2 * meanJ * math.Sqrt(float64(m.N))
-	}
-	if o.TEnd == 0 {
-		o.TEnd = o.TStart / 1000
-	}
-	if o.QEnd == 0 {
-		o.QEnd = 2 * meanJ * math.Sqrt(float64(m.N))
-	}
+	tStart := 2 * meanJ * math.Sqrt(float64(m.N))
+	tEnd := tStart / 1000
+	qEnd := 2 * meanJ * math.Sqrt(float64(m.N))
 	r := rng.New(o.Seed)
 	spins := make([]int8, m.N)
 	for i := range spins {
@@ -213,8 +205,8 @@ func denseSCA(m *ising.Model, o anneal.SCAOptions) anneal.SCAResult {
 	res := anneal.SCAResult{Energy: math.Inf(1), Spins: make([]int8, m.N)}
 	for step := 0; step < o.Steps; step++ {
 		frac := float64(step) / float64(o.Steps-1+1)
-		temp := o.TStart * math.Pow(o.TEnd/o.TStart, frac)
-		q := o.QStart + frac*(o.QEnd-o.QStart)
+		temp := tStart * math.Pow(tEnd/tStart, frac)
+		q := frac * qEnd
 		for i := 0; i < m.N; i++ {
 			fields[i] = m.LocalField(spins, i) + q*float64(spins[i])
 		}
@@ -241,36 +233,28 @@ func denseSCA(m *ising.Model, o anneal.SCAOptions) anneal.SCAResult {
 	return res
 }
 
-// sameBits compares float slices at the bit level.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
-			return false
-		}
-	}
-	return true
-}
-
 func TestSparseEnginesMatchDenseRuns(t *testing.T) {
-	schedules := []anneal.Schedule{
-		anneal.Geometric{Start: 4, End: 0.01},
-		anneal.Constant{T: 0}, // greedy: only delta <= 0 moves, ±0 included
+	schedules := []anneal.Geometric{
+		{Start: 4, End: 0.01},
+		// Near-greedy: every uphill move is rejected, so the run turns
+		// on which delta <= 0 moves land, ±0 included.
+		{Start: 1e-300, End: 1e-300},
 	}
 	for name, m := range differentialModels(t) {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 4; seed++ {
 				for _, sched := range schedules {
-					opts := anneal.Options{Sweeps: 60, Seed: seed, Schedule: sched, RecordTrace: true}
+					opts := anneal.Options{Sweeps: 60, Seed: seed, Schedule: sched}
 					spins := anneal.RandomSpins(m.N, seed)
 					want := append([]int8(nil), spins...)
-					got := anneal.Ising(m, spins, opts)
+					got, err := anneal.IsingContext(context.Background(), m, spins, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
 					ref := denseMetropolis(m, want, opts)
 					if !reflect.DeepEqual(spins, want) || got.Accepted != ref.Accepted || got.Proposed != ref.Proposed ||
-						!sameBits([]float64{got.Energy}, []float64{ref.Energy}) || !sameBits(got.Trace, ref.Trace) {
-						t.Fatalf("seed %d %T: metropolis drifted from the dense reference:\n got %+v %v\nwant %+v %v", seed, sched, got, spins, ref, want)
+						math.Float64bits(got.Energy) != math.Float64bits(ref.Energy) {
+						t.Fatalf("seed %d %v: metropolis drifted from the dense reference:\n got %+v %v\nwant %+v %v", seed, sched, got, spins, ref, want)
 					}
 				}
 				opts := anneal.SCAOptions{Steps: 80, Seed: seed}
@@ -280,7 +264,7 @@ func TestSparseEnginesMatchDenseRuns(t *testing.T) {
 				}
 				ref := denseSCA(m, opts)
 				if !reflect.DeepEqual(got.Spins, ref.Spins) || got.Flips != ref.Flips || got.TailFlips != ref.TailFlips ||
-					!sameBits([]float64{got.Energy}, []float64{ref.Energy}) {
+					math.Float64bits(got.Energy) != math.Float64bits(ref.Energy) {
 					t.Fatalf("seed %d: sca drifted from the dense reference:\n got %+v\nwant %+v", seed, got, ref)
 				}
 			}

@@ -105,18 +105,6 @@ func Random(n int, density float64, seed uint64) *Graph {
 	return g
 }
 
-// CompleteBipartite returns K_{a,b} with unit weights; its maximum cut
-// is a*b (cut every edge).
-func CompleteBipartite(a, b int) *Graph {
-	g := &Graph{N: a + b}
-	for u := 0; u < a; u++ {
-		for v := a; v < a+b; v++ {
-			g.Edges = append(g.Edges, Edge{U: u, V: v, W: 1})
-		}
-	}
-	return g
-}
-
 // Result reports a Max-Cut solve. The json tags are its wire shape:
 // it is served verbatim as a maxcut job's result detail.
 type Result struct {

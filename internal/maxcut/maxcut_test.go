@@ -58,9 +58,21 @@ func TestIsingIdentity(t *testing.T) {
 	}
 }
 
+// completeBipartite returns K_{a,b} with unit weights; its maximum cut
+// is a*b (cut every edge).
+func completeBipartite(a, b int) *Graph {
+	g := &Graph{N: a + b}
+	for u := 0; u < a; u++ {
+		for v := a; v < a+b; v++ {
+			g.Edges = append(g.Edges, Edge{U: u, V: v, W: 1})
+		}
+	}
+	return g
+}
+
 func TestSolveBipartiteOptimal(t *testing.T) {
 	// K_{5,6}: optimum cuts all 30 edges.
-	g := CompleteBipartite(5, 6)
+	g := completeBipartite(5, 6)
 	res, err := Solve(g, 300, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -61,9 +61,12 @@ func (f *SRAM) At(vdd float64) Epoch {
 }
 
 // sramEpoch is one SRAM pseudo-read pass at a fixed supply. A read is
-// one cell hash and one compare, bit-identical to CellState: the cell
-// is vulnerable when u53(h) < p, and since both sides scale exactly by
-// 2^53 that is float64(h>>11) < p·2^53 = limit.
+// one cell hash and one compare. The cell's fabrication fingerprint is
+// 64 stable hash bits: the low bit is its preferred value and the top
+// 53 a uniform u in [0,1), vulnerable below VulnProb. Since both sides
+// scale exactly by 2^53, u53(h) < p is float64(h>>11) < p·2^53 = limit.
+// Vulnerability is therefore monotone: a cell vulnerable at some V_DD
+// stays vulnerable at every lower V_DD.
 type sramEpoch struct {
 	salt  uint64
 	limit float64
@@ -78,8 +81,12 @@ func (e sramEpoch) ReadBit(cellID uint64, stored uint8) uint8 {
 	return stored
 }
 
-// ReadCode implements Epoch. It is ReadBit over the nLSB low bit
-// planes, written out rather than through readCodeBits: a ReadBit
+// ReadCode implements Epoch: it pseudo-reads an 8-bit weight whose bit
+// b lives in cell baseCellID + b. Only the nLSB least significant bit
+// planes operate at the reduced supply; the MSBs run at nominal supply
+// and read back clean (the paper's MSB/LSB split placement, Fig. 5c).
+// It is ReadBit over those planes, written out rather than through
+// readCodeBits: a ReadBit
 // called through the helper's type-parameter dictionary is never
 // inlined, and this loop is most of a noisy epoch's pseudo-read cost.
 // A vulnerable cell reads its preferred bit, the cell hash's low bit.
@@ -113,32 +120,10 @@ func (f *SRAM) VulnProb(vdd float64) float64 {
 	return p
 }
 
-// CellState reports whether the cell is vulnerable at supply vdd and
-// which bit value it prefers: the definition every read follows. The
-// cell's fabrication fingerprint is 64 stable hash bits; the low bit is
-// its preference and the top 53 a uniform u in [0,1), vulnerable below
-// VulnProb. Vulnerability is therefore monotone: a cell vulnerable at
-// some V_DD stays vulnerable at every lower V_DD.
-func (f *SRAM) CellState(cellID uint64, vdd float64) (vulnerable bool, preferred uint8) {
-	h := mix64(cellID ^ f.salt())
-	return u53(h) < f.VulnProb(vdd), uint8(h & 1)
-}
-
 // ReadBit returns the value observed when pseudo-reading a cell that was
 // written with `stored` at supply vdd.
 func (f *SRAM) ReadBit(cellID uint64, stored uint8, vdd float64) uint8 {
 	return f.At(vdd).ReadBit(cellID, stored)
-}
-
-// ApplyToCode pseudo-reads an 8-bit weight whose bit b lives in cell
-// baseCellID + b. Only the nLSB least significant bit planes operate at
-// the reduced vdd; the remaining MSBs run at nominal supply and read
-// back clean (the paper's MSB/LSB split placement, Fig. 5c).
-func (f *SRAM) ApplyToCode(code uint8, baseCellID uint64, vdd float64, nLSB int) uint8 {
-	if nLSB <= 0 {
-		return code
-	}
-	return f.At(vdd).ReadCode(code, baseCellID, nLSB)
 }
 
 // Cell-identifier packing. Every physical bit in the chip has a stable
@@ -285,23 +270,4 @@ func (s Schedule) At(iter int) (vdd float64, nLSB int) {
 // with it the annealer degenerates to greedy descent (used by ablations).
 func NoNoise(iters int) Schedule {
 	return Schedule{VDDStart: device.NominalVDD, VDDStep: 0, Epochs: 1, EpochIters: iters, StartLSBs: 0}
-}
-
-// CalibrateFabric runs the device Monte Carlo for the given cell
-// parameters, fits the error-rate sigmoid and returns an SRAM fabric
-// driven by it — the full physics-to-annealer calibration pipeline. Use
-// NewFabric for the pre-committed 16 nm model; use this when exploring
-// different cell designs (e.g. other mismatch corners or bit-line
-// capacitances).
-func CalibrateFabric(p device.CellParams, samples int, seed uint64) (*SRAM, error) {
-	if samples < 50 {
-		return nil, fmt.Errorf("noise: need >= 50 Monte Carlo samples, got %d", samples)
-	}
-	vdds := device.SweepVDD(0.04)
-	rates := device.ErrorRateCurve(p, vdds, samples, seed)
-	model, err := device.FitSigmoid(vdds, rates)
-	if err != nil {
-		return nil, err
-	}
-	return &SRAM{Model: model, Seed: seed}, nil
 }

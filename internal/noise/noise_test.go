@@ -9,6 +9,19 @@ import (
 	"cimsa/internal/fixed"
 )
 
+// CellState reports whether the cell is vulnerable at supply vdd and
+// which bit value it prefers: the definition every read follows, and
+// the oracle TestSRAMEpochFollowsCellState holds the epoch's scaled
+// compare to. The
+// cell's fabrication fingerprint is 64 stable hash bits; the low bit is
+// its preference and the top 53 a uniform u in [0,1), vulnerable below
+// VulnProb. Vulnerability is therefore monotone: a cell vulnerable at
+// some V_DD stays vulnerable at every lower V_DD.
+func (f *SRAM) CellState(cellID uint64, vdd float64) (vulnerable bool, preferred uint8) {
+	h := mix64(cellID ^ f.salt())
+	return u53(h) < f.VulnProb(vdd), uint8(h & 1)
+}
+
 func TestCellStateDeterministic(t *testing.T) {
 	f := NewFabric(1)
 	for id := uint64(0); id < 100; id++ {
@@ -103,10 +116,13 @@ func TestSRAMEpochFollowsCellState(t *testing.T) {
 	}
 }
 
+// The ApplyToCode tests pseudo-read whole codes through an epoch's
+// ReadCode, the path every noisy solve takes.
+
 func TestApplyToCodeNominalIsClean(t *testing.T) {
 	f := NewFabric(6)
 	quickCheck := func(code uint8, base uint64) bool {
-		return f.ApplyToCode(code, base, device.NominalVDD, 6) == code
+		return f.At(device.NominalVDD).ReadCode(code, base, 6) == code
 	}
 	if err := quick.Check(quickCheck, nil); err != nil {
 		t.Fatalf("nominal-V_DD pseudo-read corrupted weights: %v", err)
@@ -116,7 +132,7 @@ func TestApplyToCodeNominalIsClean(t *testing.T) {
 func TestApplyToCodeZeroLSBsIsClean(t *testing.T) {
 	f := NewFabric(7)
 	quickCheck := func(code uint8, base uint64) bool {
-		return f.ApplyToCode(code, base, 0.2, 0) == code
+		return f.At(0.2).ReadCode(code, base, 0) == code
 	}
 	if err := quick.Check(quickCheck, nil); err != nil {
 		t.Fatalf("0-LSB pseudo-read corrupted weights: %v", err)
@@ -127,7 +143,7 @@ func TestApplyToCodeOnlyTouchesLSBs(t *testing.T) {
 	f := NewFabric(8)
 	quickCheck := func(code uint8, base uint64, nRaw uint8) bool {
 		n := int(nRaw % 9)
-		out := f.ApplyToCode(code, base, 0.2, n)
+		out := f.At(0.2).ReadCode(code, base, n)
 		for b := n; b < fixed.Bits; b++ {
 			if fixed.Bit(out, b) != fixed.Bit(code, b) {
 				return false
@@ -146,7 +162,7 @@ func TestApplyToCodeMaxErrorMagnitude(t *testing.T) {
 	for n := 0; n <= fixed.Bits; n++ {
 		bound := 1<<uint(n) - 1
 		for code := 0; code < 256; code += 7 {
-			out := f.ApplyToCode(uint8(code), uint64(code)*31, 0.2, n)
+			out := f.At(0.2).ReadCode(uint8(code), uint64(code)*31, n)
 			diff := int(out) - code
 			if diff < 0 {
 				diff = -diff
@@ -163,7 +179,7 @@ func TestApplyToCodeLowVDDActuallyNoisy(t *testing.T) {
 	changed := 0
 	for i := 0; i < 1000; i++ {
 		code := uint8(i * 13)
-		if f.ApplyToCode(code, uint64(i)*97, 0.2, 6) != code {
+		if f.At(0.2).ReadCode(code, uint64(i)*97, 6) != code {
 			changed++
 		}
 	}
@@ -271,37 +287,14 @@ func TestNoNoiseSchedule(t *testing.T) {
 		t.Fatalf("NoNoise schedule has %d noisy LSBs", lsb)
 	}
 	f := NewFabric(11)
-	if f.ApplyToCode(0xA5, 12345, vdd, lsb) != 0xA5 {
+	if f.At(vdd).ReadCode(0xA5, 12345, lsb) != 0xA5 {
 		t.Fatal("NoNoise schedule corrupted a weight")
 	}
 }
 
-func BenchmarkApplyToCode(b *testing.B) {
+func BenchmarkReadCode(b *testing.B) {
 	f := NewFabric(1)
 	for i := 0; i < b.N; i++ {
-		f.ApplyToCode(uint8(i), uint64(i), 0.35, 6)
-	}
-}
-
-func TestCalibrateFabric(t *testing.T) {
-	f, err := CalibrateFabric(device.Params16nm(), 60, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The calibrated model must resemble the committed default: same
-	// plateau, midpoint within 60 mV.
-	def := device.DefaultErrorModel()
-	if f.Model.MaxRate < 0.4 || f.Model.MaxRate > 0.6 {
-		t.Fatalf("calibrated max rate %v", f.Model.MaxRate)
-	}
-	if diff := f.Model.V50 - def.V50; diff > 0.06 || diff < -0.06 {
-		t.Fatalf("calibrated V50 %v far from committed %v", f.Model.V50, def.V50)
-	}
-	// And it behaves like a fabric.
-	if got := f.ApplyToCode(0xAB, 1, 0.8, 6); got != 0xAB {
-		t.Fatal("calibrated fabric corrupts at nominal VDD")
-	}
-	if _, err := CalibrateFabric(device.Params16nm(), 10, 1); err == nil {
-		t.Fatal("tiny sample count accepted")
+		f.At(0.35).ReadCode(uint8(i), uint64(i), 6)
 	}
 }

@@ -251,34 +251,3 @@ func MemoryCapacityBits(n, p int) (pbm, clusteredBits, compact float64) {
 	compact = float64(cluster.ProvisionedWeights(n, cluster.Strategy{Kind: cluster.SemiFlex, P: p})) * 8
 	return
 }
-
-// AreaBreakdown splits an array's footprint into cell matrix and
-// periphery contributions (µm²), the decomposition behind Fig. 7(b)'s
-// "area tracks capacity" observation: the cell matrix grows linearly
-// with capacity while periphery amortizes.
-type AreaBreakdown struct {
-	CellsUM2, PeripheryUM2 float64
-	// PeripheryShare is PeripheryUM2 / total.
-	PeripheryShare float64
-}
-
-// Breakdown computes the array's area decomposition.
-func (a ArrayPPA) Breakdown(t Tech) AreaBreakdown {
-	cells := float64(a.Geometry.CellRows) * t.CellHeightUM * float64(a.Geometry.CellCols) * t.CellWidthUM
-	per := a.AreaUM2 - cells
-	return AreaBreakdown{
-		CellsUM2:       cells,
-		PeripheryUM2:   per,
-		PeripheryShare: per / a.AreaUM2,
-	}
-}
-
-// LeakagePowerMW estimates the chip's static power from per-cell SRAM
-// leakage: 16 nm HD cells leak O(10 pA) per cell at nominal voltage.
-const leakagePerCellNW = 0.008
-
-// LeakagePowerMW returns the modelled static power of the whole chip.
-func (r ChipReport) LeakagePowerMW() float64 {
-	cells := float64(r.PhysicalWeightBits) // one 14T cell per stored bit
-	return cells * leakagePerCellNW * 1e-6
-}

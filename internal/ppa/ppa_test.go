@@ -216,43 +216,3 @@ func BenchmarkChipReport(b *testing.B) {
 		}
 	}
 }
-
-func TestAreaBreakdown(t *testing.T) {
-	tech := Tech16nm()
-	for _, pMax := range []int{2, 3, 4} {
-		arr, err := ArrayModel(pMax, tech)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := arr.Breakdown(tech)
-		if b.CellsUM2 <= 0 || b.PeripheryUM2 <= 0 {
-			t.Fatalf("pMax=%d: degenerate breakdown %+v", pMax, b)
-		}
-		if math.Abs(b.CellsUM2+b.PeripheryUM2-arr.AreaUM2) > 1e-6 {
-			t.Fatalf("pMax=%d: breakdown does not add up", pMax)
-		}
-		if b.PeripheryShare <= 0 || b.PeripheryShare >= 1 {
-			t.Fatalf("pMax=%d: share %v", pMax, b.PeripheryShare)
-		}
-	}
-	// Periphery amortizes with array size: share falls as pMax grows.
-	a2, _ := ArrayModel(2, tech)
-	a4, _ := ArrayModel(4, tech)
-	if a4.Breakdown(tech).PeripheryShare >= a2.Breakdown(tech).PeripheryShare {
-		t.Fatal("periphery share did not amortize with larger arrays")
-	}
-}
-
-func TestLeakageSmallVsDynamic(t *testing.T) {
-	rep, err := Chip(85900, 3, PaperProfile(85900, 3), Tech16nm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	leak := rep.LeakagePowerMW()
-	if leak <= 0 {
-		t.Fatal("no leakage modelled")
-	}
-	if leak > 0.25*rep.PowerMW {
-		t.Fatalf("leakage %v mW implausibly large vs dynamic %v mW", leak, rep.PowerMW)
-	}
-}

@@ -49,26 +49,12 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// State returns the generator's four xoshiro256** state words. Together
-// with Restore it makes the stream position durable: a generator rebuilt
-// from State() continues the exact sequence the original would have
-// produced. The layout (s0..s3 in order) is part of the package's
-// stability contract — checkpoint files persist these words across
-// process restarts and releases.
+// State returns the generator's four xoshiro256** state words. The
+// layout (s0..s3 in order) is part of the package's stability contract:
+// checkpoint files persist New(seed).State() as the seed's fingerprint,
+// and a reader whose generator drifted would compute different words.
 func (r *Rand) State() [4]uint64 {
 	return [4]uint64{r.s0, r.s1, r.s2, r.s3}
-}
-
-// Restore returns a generator positioned at the given state, as captured
-// by State. The all-zero state is not a valid xoshiro state (the stream
-// would be constant zero), so it is rejected by falling back to the
-// guard constant New uses.
-func Restore(state [4]uint64) *Rand {
-	r := &Rand{s0: state[0], s1: state[1], s2: state[2], s3: state[3]}
-	if r.s0|r.s1|r.s2|r.s3 == 0 {
-		r.s0 = 0x9e3779b97f4a7c15
-	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
@@ -91,15 +77,6 @@ func (r *Rand) Uint64() uint64 {
 // re-seeded through SplitMix64 from fresh parent output.
 func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0xa5a5a5a55a5a5a5a)
-}
-
-// SplitN derives n independent child generators.
-func (r *Rand) SplitN(n int) []*Rand {
-	out := make([]*Rand, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
 }
 
 // Float64 returns a uniform float64 in [0, 1).

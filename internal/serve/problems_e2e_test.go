@@ -86,7 +86,10 @@ func TestIsingServiceEndToEnd(t *testing.T) {
 	m.H[0] = 0.5
 	m.H[3] = -0.25
 	spins := anneal.RandomSpins(6, 3)
-	directRes := anneal.Ising(m, spins, anneal.Options{Sweeps: 80, Seed: 3})
+	directRes, err := anneal.IsingContext(context.Background(), m, spins, anneal.Options{Sweeps: 80, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	directEnergy := m.Energy(spins)
 
 	_, base := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 4})

@@ -68,16 +68,6 @@ func Load(name string) (*Instance, error) {
 	return Generate(k.Name, k.N, StyleForName(k.Name), 1), nil
 }
 
-// MustLoad is Load that panics on error; for tests and examples where the
-// name is a compile-time constant.
-func MustLoad(name string) *Instance {
-	in, err := Load(name)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
 // Names returns all registry instance names sorted by city count.
 func Names() []string {
 	ks := make([]Known, len(Registry))

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteTour emits a visiting order in TSPLIB95 .tour format (TYPE TOUR,
@@ -21,72 +19,4 @@ func WriteTour(w io.Writer, name string, order []int) error {
 	}
 	fmt.Fprintf(bw, "-1\nEOF\n")
 	return bw.Flush()
-}
-
-// ParseTour reads a TSPLIB95 .tour file and returns the 0-indexed
-// visiting order. DIMENSION, when present, is validated against the
-// entry count.
-func ParseTour(r io.Reader) ([]int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	declaredDim := -1
-	inTour := false
-	var order []int
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		upper := strings.ToUpper(line)
-		switch {
-		case upper == "EOF":
-			inTour = false
-		case inTour:
-			for _, field := range strings.Fields(line) {
-				id, err := strconv.Atoi(field)
-				if err != nil {
-					return nil, fmt.Errorf("tsplib: bad tour entry %q: %v", field, err)
-				}
-				if id == -1 {
-					inTour = false
-					break
-				}
-				if id < 1 {
-					return nil, fmt.Errorf("tsplib: tour entry %d out of range", id)
-				}
-				order = append(order, id-1)
-			}
-		case upper == "TOUR_SECTION":
-			inTour = true
-		case strings.HasPrefix(upper, "DIMENSION"):
-			d, err := strconv.Atoi(keywordValue(line))
-			if err != nil {
-				return nil, fmt.Errorf("tsplib: bad DIMENSION: %v", err)
-			}
-			declaredDim = d
-		case strings.HasPrefix(upper, "TYPE"):
-			if v := strings.ToUpper(keywordValue(line)); v != "TOUR" {
-				return nil, fmt.Errorf("tsplib: tour file has TYPE %q", v)
-			}
-		default:
-			// NAME, COMMENT, unknown keywords: ignored.
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tsplib: read: %w", err)
-	}
-	if len(order) == 0 {
-		return nil, fmt.Errorf("tsplib: no TOUR_SECTION data")
-	}
-	if declaredDim >= 0 && declaredDim != len(order) {
-		return nil, fmt.Errorf("tsplib: DIMENSION %d but %d tour entries", declaredDim, len(order))
-	}
-	seen := make(map[int]bool, len(order))
-	for _, c := range order {
-		if seen[c] {
-			return nil, fmt.Errorf("tsplib: city %d appears twice in tour", c+1)
-		}
-		seen[c] = true
-	}
-	return order, nil
 }

@@ -271,7 +271,10 @@ func TestLoadMatchesRegistry(t *testing.T) {
 		t.Fatalf("loaded %d cities", in.N())
 	}
 	// Load must be deterministic across calls.
-	again := MustLoad("pcb442")
+	again, err := Load("pcb442")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range in.Cities {
 		if in.Cities[i] != again.Cities[i] {
 			t.Fatal("Load not deterministic")

@@ -57,11 +57,8 @@ func TestWriteSVGRejectsInvalidTour(t *testing.T) {
 
 func TestWriteSVGDegenerateGeometry(t *testing.T) {
 	// Collinear cities: zero height must not divide by zero.
-	in := &tsplib.Instance{
-		Name:   "line",
-		Metric: tsplib.MustLoad("berlin52").Metric,
-		Cities: tsplib.Generate("l", 5, tsplib.StyleUniform, 4).Cities,
-	}
+	gen := tsplib.Generate("l", 5, tsplib.StyleUniform, 4)
+	in := &tsplib.Instance{Name: "line", Metric: gen.Metric, Cities: gen.Cities}
 	for i := range in.Cities {
 		in.Cities[i].Y = 7
 	}
