@@ -1,6 +1,7 @@
 package clustered
 
 import (
+	"maps"
 	"runtime"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"cimsa/internal/heuristics"
 	"cimsa/internal/noise"
 	"cimsa/internal/rng"
+	"cimsa/internal/tour"
 	"cimsa/internal/tsplib"
 )
 
@@ -145,16 +147,17 @@ func TestNoisySpinsDeterministicTrace(t *testing.T) {
 	}
 	if ra.Length == rb.Length && ra.Tour.Length(in) == rb.Tour.Length(in) {
 		// Identical lengths are possible but identical tours are a red
-		// flag; compare canonical forms.
-		same := true
-		ca, cb := ra.Tour.Canonical(), rb.Tour.Canonical()
-		for i := range ca {
-			if ca[i] != cb[i] {
-				same = false
-				break
+		// flag: compare the cycles, each city's pair of neighbours.
+		neighbours := func(tr tour.Tour) map[[2]int]bool {
+			n := len(tr)
+			out := make(map[[2]int]bool, n)
+			for i, c := range tr {
+				a, b := tr[(i+n-1)%n], tr[(i+1)%n]
+				out[[2]int{c, min(a, b)}], out[[2]int{c, max(a, b)}] = true, true
 			}
+			return out
 		}
-		if same {
+		if maps.Equal(neighbours(ra.Tour), neighbours(rb.Tour)) {
 			t.Fatal("different fabrics produced identical tours")
 		}
 	}

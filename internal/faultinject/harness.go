@@ -28,7 +28,6 @@ import (
 
 	"cimsa"
 	"cimsa/internal/fairsched"
-	"cimsa/internal/maxcut"
 	"cimsa/internal/problem"
 	"cimsa/internal/problem/isingprob"
 	"cimsa/internal/problem/maxcutprob"
@@ -136,7 +135,16 @@ func (sv *Solver) Solve(ctx context.Context, task problem.Task, run problem.Run)
 func makeTask(name string, kind int) problem.Task {
 	switch kind % 3 {
 	case 1:
-		return maxcutprob.New(maxcut.Random(8, 0.5, 1), name, 4, 1)
+		t, err := maxcutprob.TaskFromSpec(&maxcutprob.Spec{
+			Name:     name,
+			Generate: &maxcutprob.GenerateSpec{N: 8, Density: 0.5, Seed: 1},
+			Sweeps:   4,
+			Seed:     1,
+		}, problem.Limits{})
+		if err != nil {
+			panic(err) // fixed, valid spec; cannot fail
+		}
+		return t
 	case 2:
 		t, err := isingprob.TaskFromSpec(&isingprob.Spec{
 			Name:     name,

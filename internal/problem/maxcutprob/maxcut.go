@@ -133,18 +133,6 @@ func TaskFromSpec(spec *Spec, lim problem.Limits) (*Task, error) {
 	return &Task{g: g, label: label, sweeps: sweeps, seed: spec.Seed}, nil
 }
 
-// New binds an already-built graph to its annealing parameters,
-// bypassing the wire schema.
-func New(g *maxcut.Graph, label string, sweeps int, seed uint64) *Task {
-	if label == "" {
-		label = fmt.Sprintf("maxcut%d", g.N)
-	}
-	if sweeps <= 0 {
-		sweeps = 200
-	}
-	return &Task{g: g, label: label, sweeps: sweeps, seed: seed}
-}
-
 // Task is one Max-Cut solve.
 type Task struct {
 	g      *maxcut.Graph

@@ -59,50 +59,6 @@ func (t Tour) Validate(n int) error {
 	return nil
 }
 
-// Canonical returns the tour rotated so city 0 comes first and oriented
-// so the second city has the smaller index of the two neighbours of city
-// 0. Two tours describe the same cycle iff their canonical forms are
-// equal.
-func (t Tour) Canonical() Tour {
-	n := len(t)
-	if n == 0 {
-		return Tour{}
-	}
-	start := 0
-	for i, c := range t {
-		if c == 0 {
-			start = i
-			break
-		}
-	}
-	out := make(Tour, n)
-	for i := 0; i < n; i++ {
-		out[i] = t[(start+i)%n]
-	}
-	if n > 2 && out[1] > out[n-1] {
-		// Reverse orientation, keeping city 0 first.
-		for i, j := 1, n-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
-	}
-	return out
-}
-
-// Equal reports whether two tours describe the same cycle (up to rotation
-// and reversal).
-func Equal(a, b Tour) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ca, cb := a.Canonical(), b.Canonical()
-	for i := range ca {
-		if ca[i] != cb[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Reverse reverses the tour segment [i, j] in place (inclusive bounds).
 func (t Tour) Reverse(i, j int) {
 	for i < j {

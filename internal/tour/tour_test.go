@@ -2,7 +2,6 @@ package tour
 
 import (
 	"testing"
-	"testing/quick"
 
 	"cimsa/internal/geom"
 	"cimsa/internal/rng"
@@ -69,47 +68,6 @@ func TestValidate(t *testing.T) {
 		if err := c.tr.Validate(c.n); err == nil {
 			t.Errorf("%s: invalid tour accepted", c.name)
 		}
-	}
-}
-
-func TestCanonicalEquivalence(t *testing.T) {
-	base := Tour{0, 1, 2, 3, 4}
-	rotated := Tour{2, 3, 4, 0, 1}
-	reversed := Tour{0, 4, 3, 2, 1}
-	other := Tour{0, 2, 1, 3, 4}
-	if !Equal(base, rotated) {
-		t.Error("rotation not recognized as equal")
-	}
-	if !Equal(base, reversed) {
-		t.Error("reversal not recognized as equal")
-	}
-	if Equal(base, other) {
-		t.Error("distinct cycles reported equal")
-	}
-}
-
-func TestCanonicalProperty(t *testing.T) {
-	r := rng.New(99)
-	f := func(nRaw, rotRaw uint8) bool {
-		n := int(nRaw%10) + 3
-		tr := Tour(r.Perm(n))
-		rot := int(rotRaw) % n
-		rotated := make(Tour, n)
-		for i := 0; i < n; i++ {
-			rotated[i] = tr[(i+rot)%n]
-		}
-		reversed := tr.Clone()
-		reversed.Reverse(0, n-1)
-		return Equal(tr, rotated) && Equal(tr, reversed)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCanonicalEmpty(t *testing.T) {
-	if got := (Tour{}).Canonical(); len(got) != 0 {
-		t.Fatalf("canonical of empty = %v", got)
 	}
 }
 
