@@ -793,3 +793,56 @@ func TestPanickingSolveFailsJob(t *testing.T) {
 		t.Fatalf("restart re-ran %d jobs (%d solves)", got, calls.Load()-before)
 	}
 }
+
+// TestPanickingCheckpointHookFailsJob: a panic in a checkpoint-write
+// hook, which runs on the checkpoint writer's goroutine, fails its job
+// with the writer's sticky error instead of ending the server. The next
+// job still completes, and after a restart nothing is re-run and the
+// failed job's checkpoint directory is gone.
+func TestPanickingCheckpointHookFailsJob(t *testing.T) {
+	stateDir := t.TempDir()
+	path := filepath.Join(stateDir, "journal.jsonl")
+	ckptRoot := filepath.Join(stateDir, "checkpoints")
+	j, _ := openTestJournal(t, path)
+	var calls atomic.Int64
+	solve := func(ctx context.Context, task problem.Task, run problem.Run) (*problem.Result, error) {
+		calls.Add(1)
+		if task.Label() == "boom" {
+			run.OnCheckpointWrite = func(string) { panic("checkpoint hook exploded") }
+		}
+		return task.Solve(ctx, run)
+	}
+	s := NewScheduler(Config{Journal: j, CheckpointDir: ckptRoot, CheckpointEvery: 1, Solve: solve, Logf: t.Logf})
+	submit := func(name string) *Job {
+		t.Helper()
+		in := cimsa.GenerateInstance(name, 200, 1)
+		job, err := s.Submit(Spec{Task: tspprob.New(in, cimsa.Options{PMax: 3, Seed: 9, SkipHardware: true}), Source: jobRequest(t, 200)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	boom := submit("boom")
+	st := waitTerminal(t, boom)
+	if st.State != StateFailed || !strings.Contains(st.Error, "checkpoint: writer panicked: checkpoint hook exploded") {
+		t.Fatalf("job with a panicking checkpoint hook ended %s (%q), want failed with the writer's error", st.State, st.Error)
+	}
+	if st := waitTerminal(t, submit("fine")); st.State != StateDone {
+		t.Fatalf("job after the panic ended %s: %s", st.State, st.Error)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	j2, entries := openTestJournal(t, path)
+	s2 := NewScheduler(Config{Journal: j2, CheckpointDir: ckptRoot, Solve: solve, Logf: t.Logf})
+	defer s2.Shutdown(context.Background())
+	before := calls.Load()
+	if got := NewServer(s2).Recover(entries); got != 0 || calls.Load() != before {
+		t.Fatalf("restart re-ran %d jobs (%d solves)", got, calls.Load()-before)
+	}
+	if _, err := os.Stat(filepath.Join(ckptRoot, boom.ID)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("failed job's checkpoint directory survived (stat: %v)", err)
+	}
+}
