@@ -17,9 +17,13 @@
 //     reach -require-speedup. On smaller runners (where a pool cannot
 //     win by physics) the check is skipped with a note.
 //
+// With -quality it instead gates a TSP quality record against the
+// committed BENCH_quality.json; quality.go states the rule.
+//
 // Usage:
 //
 //	benchgate -committed BENCH_solve.json -measured bench_ci.json
+//	benchgate -quality -committed BENCH_quality.json -measured quality_ci.json
 package main
 
 import (
@@ -161,25 +165,39 @@ func main() {
 		reqSpeedup    = flag.Float64("require-speedup", 1.2, "required sequential/pooled speedup (0 disables)")
 		reqAt         = flag.Int("require-at", 10000, "instance size the speedup is required at")
 		minCPUs       = flag.Int("min-cpus", 4, "skip the speedup check below this many runner CPUs")
+		quality       = flag.Bool("quality", false, "gate TSP quality records (BENCH_quality.json) instead of solve timings")
 	)
 	flag.Parse()
 	if *measuredPath == "" {
 		log.Fatal("-measured is required")
 	}
-	committed, err := load(*committedPath)
-	if err != nil {
-		log.Fatal(err)
+	var violations, notes []string
+	if *quality {
+		committed, err := loadQuality(*committedPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		measured, err := loadQuality(*measuredPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		violations, notes = gateQuality(committed, measured)
+	} else {
+		committed, err := load(*committedPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		measured, err := load(*measuredPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		violations, notes = gate(committed, measured, gateConfig{
+			Tolerance:      *tolerance,
+			RequireSpeedup: *reqSpeedup,
+			RequireAt:      *reqAt,
+			MinCPUs:        *minCPUs,
+		})
 	}
-	measured, err := load(*measuredPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	violations, notes := gate(committed, measured, gateConfig{
-		Tolerance:      *tolerance,
-		RequireSpeedup: *reqSpeedup,
-		RequireAt:      *reqAt,
-		MinCPUs:        *minCPUs,
-	})
 	for _, n := range notes {
 		fmt.Println("ok:", n)
 	}
