@@ -181,6 +181,46 @@ func TestFacadeResumeRejectsCrossFabric(t *testing.T) {
 	}
 }
 
+// TestFacadeResumeRejectsOtherSolverVersion rewrites an interrupted
+// run's checkpoint as if another solver version had annealed it: the
+// resume must fail with an ErrMismatch diagnostic naming the solver
+// version rather than finish a run that neither version would produce.
+func TestFacadeResumeRejectsOtherSolverVersion(t *testing.T) {
+	in := cimsa.GenerateInstance("facade-ckpt-solver", 200, 3)
+	dir := t.TempDir()
+	opt := ckptOptions(dir)
+	ctx, cancel := context.WithCancel(context.Background())
+	events := 0
+	opt.Progress = func(cimsa.ProgressEvent) {
+		events++
+		if events == 4 {
+			cancel()
+		}
+	}
+	var path string
+	opt.Checkpoint.OnWrite = func(p string) { path = p }
+	if _, err := cimsa.SolveContext(ctx, in, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupt: got %v", err)
+	}
+	s, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.SolverVersion != cimsa.SolverVersion {
+		t.Fatalf("checkpoint carries solver version %q, this build is %q", s.SolverVersion, cimsa.SolverVersion)
+	}
+	s.SolverVersion = "tsp/v0"
+	if err := checkpoint.Save(path, s); err != nil {
+		t.Fatal(err)
+	}
+	resume := ckptOptions(dir)
+	resume.Checkpoint.Resume = true
+	_, err = cimsa.Solve(in, resume)
+	if !errors.Is(err, checkpoint.ErrMismatch) || !strings.Contains(err.Error(), "solver version") {
+		t.Fatalf("resume across solver versions: got %v", err)
+	}
+}
+
 // TestFacadeCheckpointCadence: EveryEpochs thins epoch snapshots. The
 // background writer may coalesce offered snapshots, so the counts are
 // bounds: every=4 offers one snapshot per four of the E =

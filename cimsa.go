@@ -50,6 +50,13 @@ type Instance = tsplib.Instance
 // worker count it is bit-identical to sequential execution.
 const WorkersAuto = 0
 
+// SolverVersion names the TSP solver's numerics. Bump it whenever the
+// result of a fixed (instance, options, seed) changes: the service's
+// result cache folds it into every TSP design hash, and checkpoints
+// carry it, so neither a cached result nor a snapshot of one version is
+// ever served or resumed by another.
+const SolverVersion = "tsp/v1"
+
 // Tour is a cyclic visiting order of city indices.
 type Tour = tour.Tour
 
@@ -327,6 +334,7 @@ func (r *run) expect() checkpoint.Expect {
 		FabricKind:    r.fabric.Kind(),
 		FabricParams:  r.fabric.Params(),
 		FabricVersion: r.fabric.Version(),
+		SolverVersion: SolverVersion,
 	}
 }
 
@@ -347,6 +355,7 @@ func (r *run) snapshot(in *Instance, hash uint64, replica int, best *clustered.R
 		FabricKind:    e.FabricKind,
 		FabricParams:  e.FabricParams,
 		FabricVersion: e.FabricVersion,
+		SolverVersion: e.SolverVersion,
 		RNG:           checkpoint.Fingerprint(e.Seed),
 		Restart:       replica,
 		BestLength:    best.Length,

@@ -47,11 +47,13 @@ import (
 // a newer writer's file is refused rather than misread).
 // Version 2 added the fabric identity triple (kind, params, version) so
 // a snapshot annealed under one noise fabric cannot silently resume
-// under another; version-1 files are refused with ErrInvalid version
-// skew and the caller solves fresh.
+// under another. Version 3 added the solver version, so a snapshot
+// annealed by one release's numerics cannot resume under another's.
+// Older files are refused with ErrInvalid version skew and the caller
+// solves fresh.
 const (
 	Magic   = "CIMSACK1"
-	Version = 2
+	Version = 3
 )
 
 // Sentinel errors. Every decode failure wraps ErrInvalid; every
@@ -96,6 +98,11 @@ type Snapshot struct {
 	FabricKind    string
 	FabricParams  string
 	FabricVersion string
+	// SolverVersion is the solver version (cimsa.SolverVersion) that
+	// annealed the run. A release that changes results bumps it, and
+	// resuming across it would finish with neither release's result;
+	// Verify rejects the resume instead.
+	SolverVersion string
 	// RNG is rng.New(Seed).State() as computed by the writer.
 	RNG [4]uint64
 	// Restart is the replica index the run was in when snapshotted.
@@ -176,6 +183,7 @@ func Encode(w io.Writer, s *Snapshot) error {
 	p.str(s.FabricKind)
 	p.str(s.FabricParams)
 	p.str(s.FabricVersion)
+	p.str(s.SolverVersion)
 	for _, v := range s.RNG {
 		p.u64(v)
 	}
@@ -272,6 +280,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	s.FabricKind = d.str(maxNameLen, "fabric kind")
 	s.FabricParams = d.str(maxNameLen, "fabric params")
 	s.FabricVersion = d.str(maxNameLen, "fabric version")
+	s.SolverVersion = d.str(maxNameLen, "solver version")
 	for i := range s.RNG {
 		s.RNG[i] = d.u64()
 	}
@@ -329,6 +338,8 @@ type Expect struct {
 	FabricKind    string
 	FabricParams  string
 	FabricVersion string
+	// SolverVersion is the running build's solver version.
+	SolverVersion string
 }
 
 // Verify checks that the snapshot belongs to this instance and
@@ -370,6 +381,9 @@ func (s *Snapshot) Verify(in *tsplib.Instance, exp Expect) error {
 	}
 	if s.FabricVersion != exp.FabricVersion {
 		return fail("fabric version %q, checkpoint has %q", exp.FabricVersion, s.FabricVersion)
+	}
+	if s.SolverVersion != exp.SolverVersion {
+		return fail("solver version %q, checkpoint was annealed by %q", exp.SolverVersion, s.SolverVersion)
 	}
 	if want := Fingerprint(s.Seed); s.RNG != want {
 		return fail("RNG fingerprint %x, this build derives %x from seed %d (generator stream drifted between releases)",

@@ -2,13 +2,16 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,6 +35,7 @@ func testExpect() Expect {
 		FabricKind:    "sram",
 		FabricParams:  "max=0.1 v50=0.43 slope=20 seed=0",
 		FabricVersion: "sram/v1",
+		SolverVersion: "tsp/v1",
 	}
 }
 
@@ -56,6 +60,7 @@ func testSnapshot(in *tsplib.Instance) *Snapshot {
 		FabricKind:    exp.FabricKind,
 		FabricParams:  exp.FabricParams,
 		FabricVersion: exp.FabricVersion,
+		SolverVersion: exp.SolverVersion,
 		RNG:           Fingerprint(exp.Seed),
 		Restart:       1,
 		BestTour:      tour,
@@ -127,6 +132,7 @@ func TestVerifyRejectsMismatches(t *testing.T) {
 			exp.FabricParams = "max=0.1 v50=0.43 slope=20 seed=9"
 		},
 		"fabric-version": func(s *Snapshot, exp *Expect, _ **tsplib.Instance) { exp.FabricVersion = "sram/v2" },
+		"solver-version": func(s *Snapshot, exp *Expect, _ **tsplib.Instance) { exp.SolverVersion = "tsp/v2" },
 		"rng-fingerprint": func(s *Snapshot, exp *Expect, _ **tsplib.Instance) {
 			s.RNG[2]++
 		},
@@ -158,6 +164,69 @@ func TestVerifyRejectsMismatches(t *testing.T) {
 		}
 		if !errors.Is(err, ErrMismatch) {
 			t.Errorf("%s: error %v does not wrap ErrMismatch", name, err)
+		}
+	}
+}
+
+// TestVerifyNamesSolverVersion: a snapshot annealed by another solver
+// version round-trips through the file format but is refused, and the
+// diagnostic names the field and both versions.
+func TestVerifyNamesSolverVersion(t *testing.T) {
+	in := testInstance()
+	s, err := Decode(bytes.NewReader(encodeBytes(t, testSnapshot(in))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.SolverVersion != "tsp/v1" {
+		t.Fatalf("solver version %q did not round-trip", s.SolverVersion)
+	}
+	exp := testExpect()
+	exp.SolverVersion = "tsp/v2"
+	err = s.Verify(in, exp)
+	if !errors.Is(err, ErrMismatch) {
+		t.Fatalf("got %v, want ErrMismatch", err)
+	}
+	for _, want := range []string{"solver version", `"tsp/v2"`, `"tsp/v1"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("diagnostic %q does not contain %s", err, want)
+		}
+	}
+}
+
+// TestDecodeRefusesFormatVersion2: a file of the format before the
+// solver version field, with a valid checksum, is version skew.
+func TestDecodeRefusesFormatVersion2(t *testing.T) {
+	data := encodeBytes(t, testSnapshot(testInstance()))
+	old := append([]byte(nil), data[:len(data)-4]...)
+	binary.LittleEndian.PutUint32(old[8:], 2)
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+	_, err := Decode(bytes.NewReader(old))
+	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "format version 2") {
+		t.Fatalf("format-2 file: got %v", err)
+	}
+}
+
+// TestFuzzCorpusRejected: every committed FuzzDecode input is refused
+// with ErrInvalid.
+func TestFuzzCorpusRejected(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecode", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("corpus: %v %v", files, err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The file is "go test fuzz v1" then one []byte("...") line.
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if _, err := Decode(strings.NewReader(data)); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("%s: got %v, want ErrInvalid", f, err)
 		}
 	}
 }

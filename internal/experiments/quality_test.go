@@ -10,11 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"cimsa"
 	"cimsa/internal/cluster"
 	"cimsa/internal/clustered"
 	"cimsa/internal/heuristics"
 	"cimsa/internal/noise"
-	"cimsa/internal/problem/tspprob"
 	"cimsa/internal/tsplib"
 )
 
@@ -160,7 +160,7 @@ func TestEmitQualityRecord(t *testing.T) {
 	})
 
 	rec := qualityRecord{
-		SolverVersion: tspprob.SolverVersion,
+		SolverVersion: cimsa.SolverVersion,
 		Scale:         qualityScale,
 		Seeds:         qualitySeeds,
 		Method: "ratio = clustered tour length / heuristics.Reference length; " +

@@ -198,11 +198,6 @@ func (t *Task) InstanceHash() string {
 	return fmt.Sprintf("%s:%016x", Name, checkpoint.InstanceHash(t.in))
 }
 
-// SolverVersion tags cached TSP results; bump it whenever the
-// annealer's output for a fixed (instance, design point, seed) changes,
-// so stale cache entries can never be served across a numerics change.
-const SolverVersion = "tsp/v1"
-
 // DesignHash folds every option that can change the solve's output —
 // and nothing else. Workers is deliberately excluded:
 // results are bit-identical at every worker count (enforced by the
@@ -218,7 +213,9 @@ const SolverVersion = "tsp/v1"
 // equivalents.
 func (t *Task) DesignHash() string {
 	h := problem.NewHasher(Name)
-	h.String(SolverVersion)
+	// cimsa.SolverVersion tags the solver's numerics, so stale cache
+	// entries can never be served across a change of results.
+	h.String(cimsa.SolverVersion)
 	h.Int(int64(t.opts.PMax))
 	h.Uint(t.opts.Seed)
 	h.String(t.opts.Mode)

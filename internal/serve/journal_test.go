@@ -343,6 +343,49 @@ func TestRecoverCorruptCheckpointSolvesFresh(t *testing.T) {
 	}
 }
 
+// TestRecoverFormat2CheckpointSolvesFresh: a journaled job whose
+// checkpoint was written by the release before the solver version
+// entered the file format (format 2, committed in testdata) is refused
+// as version skew, and the recovered job solves fresh to this
+// release's result.
+func TestRecoverFormat2CheckpointSolvesFresh(t *testing.T) {
+	const n = 160
+	in := cimsa.GenerateInstance("srv-ckpt", n, 3)
+	want, err := cimsa.Solve(in, cimsa.Options{PMax: 3, Seed: 9, SkipHardware: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	crashState(t, stateDir, "j0001-old000", n, false)
+	old, err := os.ReadFile(filepath.Join("testdata", "format2-srv-ckpt-n160-s9.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckptDir := filepath.Join(stateDir, "checkpoints", "j0001-old000")
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckptDir, "srv-ckpt-n160-s9.ckpt"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, sched, entries := bootServer(t, stateDir)
+	if got := srv.Recover(entries); got != 1 {
+		t.Fatalf("Recover re-enqueued %d jobs", got)
+	}
+	job, _ := sched.Get("j0001-old000")
+	st := waitTerminal(t, job)
+	if st.State != StateDone {
+		t.Fatalf("job ended %s (%s)", st.State, st.Error)
+	}
+	if !reflect.DeepEqual(job.Result().Detail.(*cimsa.Report).Tour, want.Tour) {
+		t.Fatal("fresh fallback solve produced a different result")
+	}
+	if sched.Metrics.ResumeFailures.Load() != 1 {
+		t.Fatalf("resume_failures_total = %d, want 1 (the old checkpoint was not refused)", sched.Metrics.ResumeFailures.Load())
+	}
+}
+
 // TestRecoverDropsUnbuildableEntry: a journal record that no longer
 // parses is dropped once — retired from the journal, counted, not
 // wedging every future boot.
