@@ -55,7 +55,7 @@ const WorkersAuto = 0
 // result cache folds it into every TSP design hash, and checkpoints
 // carry it, so neither a cached result nor a snapshot of one version is
 // ever served or resumed by another.
-const SolverVersion = "tsp/v1"
+const SolverVersion = "tsp/v2"
 
 // Tour is a cyclic visiting order of city indices.
 type Tour = tour.Tour

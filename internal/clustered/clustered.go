@@ -188,10 +188,12 @@ type Stats struct {
 	BottomWindows int
 	// Iterations is the total update iterations summed over levels.
 	Iterations int
-	// Proposed and Accepted count swap trials. Like every other work
-	// counter they are int64: paper-scale instances with restarts push
-	// proposal counts past 32-bit range, and the counters round-trip
-	// through checkpoints as 64-bit fields.
+	// Proposed counts swap proposals: every cluster of two or more
+	// children proposes one swap per iteration, so it is the number of
+	// cluster-cycles annealed. Accepted counts the swaps taken. Like
+	// every other work counter they are int64: paper-scale instances with
+	// restarts push proposal counts past 32-bit range, and the counters
+	// round-trip through checkpoints as 64-bit fields.
 	Proposed, Accepted int64
 	// WriteBacks counts weight write-back epochs summed over windows.
 	WriteBacks int64
@@ -447,6 +449,12 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 	iters := o.Schedule.TotalIters()
 	temp := metropolisTemp(state)
 	transfersPerIter := boundaryTransfersPerIter(state)
+	// Every cluster of two or more children proposes one swap per
+	// iteration; the phases hold exactly those clusters.
+	proposalsPerIter := int64(0)
+	for _, st := range ex.plan.steps {
+		proposalsPerIter += int64(st.items)
+	}
 	// emit reports progress at write-back-epoch granularity; the hook
 	// only observes state, so results are identical with or without it.
 	emit := func(iter int) {
@@ -523,6 +531,7 @@ func annealLevel(ctx context.Context, nodes []*cluster.Node, level, levelIdx, le
 			job.phase = st.phase
 			ex.runStep(job, st)
 		}
+		stats.Proposed += proposalsPerIter
 		stats.Cycles += int64(cim.CyclesPerIteration)
 		stats.BoundaryTransferBits += transfersPerIter
 		if o.RecordTrace {
@@ -710,14 +719,14 @@ func iterKey(seed uint64, level, iter int) uint64 {
 // whose iterKey is key.
 func clusterKey(key uint64, ci int) uint64 { return counterFold(key, uint64(ci)) }
 
-// remConsts[p-1] holds, for divisor p, c = ⌈2⁶⁴/p⌉ mod 2⁶⁴ (0 for p =
-// 1, which the direct remainder then maps to 0) and r24 = 2²⁴ % p, for
-// drawPass's slot remainders.
-var remConsts = func() (t [8]struct{ c, r24 uint64 }) {
-	for k := range t {
+// remConsts[p-1] holds the direct-remainder constants of a cluster of
+// p >= 3 children, for drawPass's slots: ci = ⌈2⁶⁴/p⌉ for slot i and
+// cj = ⌈2⁶⁴/(p−1)⌉ for slot j.
+var remConsts = func() (t [8]struct{ ci, cj uint64 }) {
+	for k := 2; k < len(t); k++ {
 		p := uint64(k + 1)
-		t[k].c = ^uint64(0)/p + 1
-		t[k].r24 = (1 << 24) % p
+		t[k].ci = ^uint64(0)/p + 1
+		t[k].cj = ^uint64(0)/(p-1) + 1
 	}
 	return t
 }()
@@ -741,77 +750,82 @@ func acceptUniform(hc uint64) float64 {
 // them: the draws' buffer stays a few cache lines on the stack.
 const drawBatch = 64
 
-// draw is one cluster's drawn swap: slots i != j of cluster ci, and
-// the clusterKey hc its acceptance uniform derives from.
+// draw is one cluster's drawn swap: slots i != j of cluster ci.
 type draw struct {
-	hc   uint64
 	ci   int32
 	i, j uint8
 }
 
 // drawPass draws the swap slots of every cluster of batch (at most
-// drawBatch of them, each of 2 to 8 children) into buf, and returns how
-// many it kept: those with i != j, in batch order.
+// drawBatch of them, each of 2 to 8 children) that is not settled into
+// buf, in batch order, and returns how many it drew. A settled window's
+// swap is a memo hit uphill whatever the slots, so it is rejected
+// unseen and its hash is never computed.
 //
-// Cluster ci's slots come from its clusterKey hc: i = h % p and j =
-// g % p of the finished hash h and g = h>>24. Both are Lemire's direct
-// remainder over per-p constants, with no branch on p or on the draw:
-// g has 40 bits, so 64 fraction bits give g % p exactly, and h % p is
-// (g%p · (2²⁴ % p) + h mod 2²⁴) % p, a 25-bit value reduced the same
-// way. The hashes of a batch are independent, so they overlap in the
-// pipeline.
+// Every draw proposes: slot i is uniform over the cluster's p slots
+// and slot j over the other p − 1. A two-child cluster's pair is (0, 1)
+// and needs no hash. Otherwise, of the finished hash h of cluster ci's
+// clusterKey, i = (h>>24) % p and j = (h mod 2²⁴) % (p−1), plus one if
+// it is not below i. Both are Lemire's direct remainder over per-p
+// constants, with no branch on the draw; h>>24 has 40 bits, so 64
+// fraction bits give it exactly. The
+// 24-bit remainder favours its smallest residues by at most one count
+// in 2²⁴ / (p−1), a relative bias below 4·10⁻⁷. The hashes of a batch
+// are independent, so they overlap in the pipeline.
 func drawPass(state *levelState, batch []int, key uint64, buf *[drawBatch]draw) int {
+	chip := state.chip
 	n := 0
 	for _, ci := range batch {
-		hc := clusterKey(key, ci)
-		p := uint64(state.sizes[ci])
-		rc := &remConsts[(p-1)&7]
-		h := counterFinish(counterFold(hc, 0))
-		j := remainder(h>>24, rc.c, p)
-		i := remainder(j*rc.r24+h&(1<<24-1), rc.c, p)
-		// n < drawBatch here; the mask only drops the bounds check.
-		buf[n&(drawBatch-1)] = draw{hc: hc, ci: int32(ci), i: uint8(i), j: uint8(j)}
-		if i != j {
-			n++
+		if chip.Settled(ci) {
+			continue
 		}
+		p := uint64(state.sizes[ci])
+		if p == 2 {
+			// n < drawBatch here; the mask only drops the bounds check.
+			buf[n&(drawBatch-1)] = draw{ci: int32(ci), i: 0, j: 1}
+			n++
+			continue
+		}
+		rc := &remConsts[(p-1)&7]
+		h := counterFinish(counterFold(clusterKey(key, ci), 0))
+		i := remainder(h>>24, rc.ci, p)
+		j := remainder(h&(1<<24-1), rc.cj, p-1)
+		// j += 1 when j >= i: both are below 8, so j − i wraps negative
+		// exactly when j < i.
+		j += 1 - (j-i)>>63
+		buf[n&(drawBatch-1)] = draw{ci: int32(ci), i: uint8(i), j: uint8(j)}
+		n++
 	}
 	return n
 }
 
 // updatePhase proposes and (maybe) applies one swap for each cluster of
 // phase, a run of one chromatic phase, in the iteration whose iterKey
-// is key. It returns the proposal count and accepts with the index of
-// every cluster whose swap it accepted appended. It is the worker
-// pool's unit of work: it writes only the order words of the clusters
-// of phase and reads only neighbours that are frozen for the current
-// chromatic phase.
+// is key, and returns accepts with the index of every cluster whose
+// swap it accepted appended. It is the worker pool's unit of work: it
+// writes only the order words of the clusters of phase and reads only
+// neighbours that are frozen for the current chromatic phase.
 //
 // Each batch of drawBatch clusters runs in two passes. drawPass draws
-// every cluster's slot pair; the decision pass then probes the swap
-// memo, accepts and swaps, proposal by proposal. A cluster's draw
-// reads nothing another cluster of the phase writes, so the split
-// leaves every result as a per-cluster loop would produce it.
+// the slot pair of every cluster whose window is not settled; the
+// decision pass then probes the swap memo, accepts and swaps, draw by
+// draw. A cluster's draw reads nothing another cluster of the phase
+// writes, and only a cluster's own probe can settle its window, so the
+// split leaves every result as a per-cluster loop would produce it.
 //
-// The decision pass skips a settled window (cim.Level.Settled) as soon
-// as it reads the draw: its proposal would hit the memo uphill and be
-// rejected. Its neighbours' flags are not this pass's to clear, since
-// clusters of the same phase share them; the caller clears them after
-// the phase from the accepts log (executor.unsettle).
-func updatePhase(state *levelState, phase []int, key uint64, o *Options, ep noise.Epoch, temp float64, accepts []int32) (int64, []int32) {
+// A settled window's neighbours' flags are not this pass's to clear,
+// since clusters of the same phase share them; the caller clears them
+// after the phase from the accepts log (executor.unsettle).
+func updatePhase(state *levelState, phase []int, key uint64, o *Options, ep noise.Epoch, temp float64, accepts []int32) []int32 {
 	var buf [drawBatch]draw
 	chip := state.chip
 	last := len(state.orders) - 1
-	proposed := int64(0)
 	for len(phase) > 0 {
 		batch := phase[:min(len(phase), drawBatch)]
 		phase = phase[len(batch):]
 		n := drawPass(state, batch, key, &buf)
-		proposed += int64(n)
 		for _, d := range buf[:n] {
 			ci := int(d.ci)
-			if chip.Settled(ci) {
-				continue
-			}
 			i, j := int(d.i), int(d.j)
 			p := int(state.sizes[ci])
 			prev, next := ci-1, ci+1
@@ -828,18 +842,18 @@ func updatePhase(state *levelState, phase []int, key uint64, o *Options, ep nois
 			}
 			// The four MACs of Fig. 5a, memoised per slot pair.
 			delta := chip.SwapDelta(ci, in, state.orders[prev].Last(), state.orders[next].First(int(state.sizes[next])), i, j)
-			if accept(state, ci, delta, o.Mode, d.hc, temp) {
+			if accept(state, ci, delta, o.Mode, key, temp) {
 				state.orders[ci] = order.Swap(p, i, j)
 				accepts = append(accepts, d.ci)
 			}
 		}
 	}
-	return proposed, accepts
+	return accepts
 }
 
 // accept decides a swap of cluster ci with energy change delta per the
-// mode.
-func accept(state *levelState, ci, delta int, mode Mode, hc uint64, temp float64) bool {
+// mode, in the iteration whose iterKey is key.
+func accept(state *levelState, ci, delta int, mode Mode, key uint64, temp float64) bool {
 	switch mode {
 	case ModeNoisyCIM, ModeNoisySpins, ModeGreedy:
 		return delta < 0
@@ -851,7 +865,7 @@ func accept(state *levelState, ci, delta int, mode Mode, hc uint64, temp float64
 			return false
 		}
 		deltaDist := float64(delta) * state.chip.Windows[ci].Quant.Scale
-		return acceptUniform(hc) < math.Exp(-deltaDist/temp)
+		return acceptUniform(clusterKey(key, ci)) < math.Exp(-deltaDist/temp)
 	default:
 		panic("clustered: unknown mode")
 	}

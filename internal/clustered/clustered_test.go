@@ -520,13 +520,19 @@ func TestProposalMatchesOneShotHash(t *testing.T) {
 			for iter := 0; iter < 400; iter += 37 {
 				key := iterKey(seed, level, iter)
 				for ci := 0; ci < 40000; ci += 997 {
-					for p := 1; p <= 9; p++ {
+					for p := 2; p <= 9; p++ {
 						hc := clusterKey(key, ci)
 						i, j := proposal(hc, p)
 						u := acceptUniform(hc)
 						h := referenceCounterHash(seed, uint64(level), uint64(iter), uint64(ci), 0)
 						h2 := referenceCounterHash(seed, uint64(level), uint64(iter), uint64(ci), 1)
-						wi, wj := int(h%uint64(p)), int((h>>24)%uint64(p))
+						wi, wj := 0, 1
+						if p > 2 {
+							wi, wj = int((h>>24)%uint64(p)), int((h%(1<<24))%uint64(p-1))
+							if wj >= wi {
+								wj++
+							}
+						}
 						wu := float64(h2>>11) / (1 << 53)
 						if i != wi || j != wj || u != wu {
 							t.Fatalf("seed %d level %d iter %d cluster %d p %d: got (%d,%d,%v), one-shot (%d,%d,%v)",
@@ -540,13 +546,14 @@ func TestProposalMatchesOneShotHash(t *testing.T) {
 }
 
 func TestProposalForProperties(t *testing.T) {
-	// Proposals must be in range and well spread.
+	// Proposals must be in range, never i == j, and well spread over the
+	// 12 ordered pairs.
 	counts := make(map[[2]int]int)
 	for iter := 0; iter < 3000; iter++ {
 		hc := clusterKey(iterKey(7, 2, iter), 5)
 		i, j := proposal(hc, 4)
 		u := acceptUniform(hc)
-		if i < 0 || i >= 4 || j < 0 || j >= 4 {
+		if i < 0 || i >= 4 || j < 0 || j >= 4 || i == j {
 			t.Fatalf("proposal out of range: %d,%d", i, j)
 		}
 		if u < 0 || u >= 1 {
@@ -554,11 +561,11 @@ func TestProposalForProperties(t *testing.T) {
 		}
 		counts[[2]int{i, j}]++
 	}
-	if len(counts) != 16 {
-		t.Fatalf("proposals cover %d/16 pairs", len(counts))
+	if len(counts) != 12 {
+		t.Fatalf("proposals cover %d/12 pairs", len(counts))
 	}
 	for pair, c := range counts {
-		if c < 3000/16/2 {
+		if c < 3000/12/2 {
 			t.Fatalf("pair %v undersampled: %d", pair, c)
 		}
 	}
@@ -612,7 +619,7 @@ func TestGoldenLengths(t *testing.T) {
 
 // goldenLengths are the pinned outputs for TestGoldenLengths (noisy-cim
 // seed 1, noisy-cim seed 2, greedy seed 1, metropolis seed 1).
-var goldenLengths = []float64{1317, 1303, 1308, 1312}
+var goldenLengths = []float64{1310, 1304, 1317, 1305}
 
 func TestBoundaryTransferAccounting(t *testing.T) {
 	in := tsplib.Generate("cl-xfer", 400, tsplib.StyleUniform, 51)

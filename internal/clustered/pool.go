@@ -72,15 +72,16 @@ func autoWorkers(n, procs int) int {
 	return w
 }
 
-// statShard is one worker's private counters and accepts log, padded
-// to a cache line so concurrent increments never false-share. accepts
+// statShard is one worker's private accept counter and accepts log,
+// padded to a cache line so concurrent increments never false-share.
+// accepts
 // lists the clusters whose swap the worker accepted in the current
 // dispatch; runStep unsettles their neighbours and truncates it. Its
 // capacity covers a whole phase, so appending never allocates.
 type statShard struct {
-	proposed, accepted int64
-	accepts            []int32
-	_                  [24]byte
+	accepted int64
+	accepts  []int32
+	_        [32]byte
 }
 
 type jobKind int
@@ -542,9 +543,7 @@ func (ex *executor) runJob(w int, job *poolJob) {
 		switch job.kind {
 		case jobUpdatePhase:
 			before := len(sh.accepts)
-			var prop int64
-			prop, sh.accepts = updatePhase(job.state, job.phase[start:end], job.key, job.opt, job.epoch, job.temp, sh.accepts)
-			sh.proposed += prop
+			sh.accepts = updatePhase(job.state, job.phase[start:end], job.key, job.opt, job.epoch, job.temp, sh.accepts)
 			sh.accepted += int64(len(sh.accepts) - before)
 		case jobLoadWindows:
 			for ci := start; ci < end; ci++ {
@@ -558,14 +557,13 @@ func (ex *executor) runJob(w int, job *poolJob) {
 	}
 }
 
-// mergeShards folds every worker's counters into stats and resets the
-// counters — called once per level, not once per phase.
+// mergeShards folds every worker's accept counter into stats and
+// resets it — called once per level, not once per phase.
 func (ex *executor) mergeShards(stats *Stats) {
 	for i := range ex.shards {
 		sh := &ex.shards[i]
-		stats.Proposed += sh.proposed
 		stats.Accepted += sh.accepted
-		sh.proposed, sh.accepted = 0, 0
+		sh.accepted = 0
 	}
 }
 

@@ -314,18 +314,15 @@ func TestBarrierManyDispatches(t *testing.T) {
 func TestMergeShardsInt64(t *testing.T) {
 	ex := &executor{workers: 2, shards: make([]statShard, 2)}
 	big := int64(math.MaxInt32) + 7
-	ex.shards[0] = statShard{proposed: big, accepted: big - 1}
-	ex.shards[1] = statShard{proposed: 10, accepted: 20}
+	ex.shards[0] = statShard{accepted: big - 1}
+	ex.shards[1] = statShard{accepted: 20}
 	var stats Stats
 	ex.mergeShards(&stats)
-	if stats.Proposed != big+10 {
-		t.Errorf("Proposed = %d, want %d", stats.Proposed, big+10)
-	}
 	if stats.Accepted != big-1+20 {
 		t.Errorf("Accepted = %d, want %d", stats.Accepted, big-1+20)
 	}
 	for i := range ex.shards {
-		if sh := ex.shards[i]; sh.proposed != 0 || sh.accepted != 0 {
+		if sh := ex.shards[i]; sh.accepted != 0 {
 			t.Errorf("shard %d not reset: %+v", i, sh)
 		}
 	}

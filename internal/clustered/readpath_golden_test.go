@@ -41,20 +41,20 @@ func readPathCases() []readPathCase {
 	return []readPathCase{
 		{
 			name: "mram", n: 600, opts: withFabric(noise.KindMRAM, 31), workers: []int{1},
-			wantHash: 0xa3aa8e89d6660561, wantLen: 3295, wantAccepted: 311,
+			wantHash: 0x10d06b7619e9ac49, wantLen: 3296, wantAccepted: 313,
 		},
 		{
 			name: "fefet", n: 600, opts: withFabric(noise.KindFeFET, 32), workers: []int{1},
-			wantHash: 0x2e5b537cdcb4c2e5, wantLen: 3367, wantAccepted: 961,
+			wantHash: 0x49ba70122a9aafe5, wantLen: 3364, wantAccepted: 1027,
 		},
 		{
 			name: "clean", n: 600, opts: withFabric(noise.KindClean, 33), workers: []int{1},
-			wantHash: 0xca233dacafe730bd, wantLen: 3976, wantAccepted: 284,
+			wantHash: 0x77bc9da27cd5f8f9, wantLen: 3971, wantAccepted: 294,
 		},
 		{
 			name: "noisy-spins", n: 600, workers: []int{1},
 			opts:     func() Options { return solveOpts(ModeNoisySpins, 34) },
-			wantHash: 0x4cbdad172cd99c79, wantLen: 3738, wantAccepted: 8189,
+			wantHash: 0x28c9e932f77acca5, wantLen: 3734, wantAccepted: 11526,
 		},
 		{
 			name: "weight-bits-4", n: 600, workers: []int{1},
@@ -63,7 +63,7 @@ func readPathCases() []readPathCase {
 				o.WeightBits = 4
 				return o
 			},
-			wantHash: 0x9cc8560a44d2aad9, wantLen: 4196, wantAccepted: 897,
+			wantHash: 0x8878ee0b60e9ee01, wantLen: 4201, wantAccepted: 1133,
 		},
 		{
 			// Above the auto pool's size floor, with p=4 windows (six
@@ -74,7 +74,7 @@ func readPathCases() []readPathCase {
 				o.Strategy = cluster.Strategy{Kind: cluster.SemiFlex, P: 4}
 				return o
 			},
-			wantHash: 0x44ed8afd21d2d6b9, wantLen: 19518, wantAccepted: 5517,
+			wantHash: 0xb1137155ccb17db9, wantLen: 19479, wantAccepted: 6073,
 		},
 	}
 }

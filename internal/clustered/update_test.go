@@ -6,33 +6,40 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cimsa/internal/cim"
 	"cimsa/internal/cluster"
 	"cimsa/internal/device"
 	"cimsa/internal/noise"
 	"cimsa/internal/tsplib"
 )
 
-// proposal is the draw's one-cluster oracle: the swap slots i, j (in
-// [0, p)) of a cluster's clusterKey hc are h % p and (h>>24) % p of the
-// finished hash h. drawPass computes them by direct remainders for the
-// cluster sizes a strategy allows (2 to 8); this is plain division, for
-// any p.
+// proposal is the draw's one-cluster oracle: for a cluster of p >= 2
+// children, slot i is uniform over [0, p) and slot j over the other
+// p − 1 slots. Of the finished hash h of the clusterKey hc, i = (h>>24)
+// % p and j = (h mod 2²⁴) % (p−1), stepped past i. Two children need no
+// hash: the pair is (0, 1). drawPass computes the same by direct
+// remainders for the cluster sizes a strategy allows (2 to 8); this is
+// plain division, for any p >= 2.
 func proposal(hc uint64, p int) (i, j int) {
+	if p == 2 {
+		return 0, 1
+	}
 	h := counterFinish(counterFold(hc, 0))
-	return int(h % uint64(p)), int((h >> 24) % uint64(p))
+	i = int((h >> 24) % uint64(p))
+	j = int((h & (1<<24 - 1)) % uint64(p-1))
+	if j >= i {
+		j++
+	}
+	return i, j
 }
 
 // updateCluster is the per-cluster reference updatePhase must
-// reproduce: draw cluster ci's slot pair, drop i == j, then probe,
-// accept and swap, one cluster at a time. It returns the proposal and
-// acceptance counts (0 or 1 each).
-func updateCluster(state *levelState, ci int, key uint64, o *Options, ep noise.Epoch, temp float64) (proposed, accepted int) {
+// reproduce: draw cluster ci's slot pair, probe, accept and swap, one
+// cluster at a time. Unlike updatePhase it draws and probes settled
+// windows too. It returns whether the swap was accepted.
+func updateCluster(state *levelState, ci int, key uint64, o *Options, ep noise.Epoch, temp float64) (accepted bool) {
 	p := int(state.sizes[ci])
-	hc := clusterKey(key, ci)
-	i, j := proposal(hc, p)
-	if i == j {
-		return 0, 0
-	}
+	i, j := proposal(clusterKey(key, ci), p)
 	prev, next := ci-1, ci+1
 	if prev < 0 {
 		prev = len(state.orders) - 1
@@ -46,11 +53,11 @@ func updateCluster(state *levelState, ci int, key uint64, o *Options, ep noise.E
 		in = corruptOrder(order, p, ep, ci)
 	}
 	delta := state.chip.SwapDelta(ci, in, state.orders[prev].Last(), state.orders[next].First(int(state.sizes[next])), i, j)
-	if !accept(state, ci, delta, o.Mode, hc, temp) {
-		return 1, 0
+	if !accept(state, ci, delta, o.Mode, key, temp) {
+		return false
 	}
 	state.orders[ci] = order.Swap(p, i, j)
-	return 1, 1
+	return true
 }
 
 // updateWriteBack is one write-back of the update tests' epoch sequence.
@@ -87,11 +94,11 @@ func settledCount(state *levelState) int {
 // TestUpdatePhaseMatchesPerClusterReference runs two copies of a
 // 1,000-cluster level through four write-back epochs (noisy into noisy,
 // noisy into clean, clean into clean; see updateWriteBacks), one on the
-// executor's two-pass loop, which skips settled windows, and one
-// through the per-cluster reference, which probes every proposal. It
-// requires every order word after every iteration, and the Proposed
-// and Accepted totals, to agree, and the settled flags to survive the
-// clean-to-clean write-back. Its phases are several times the draw
+// executor's two-pass loop, which skips settled windows before drawing,
+// and one through the per-cluster reference, which draws and probes
+// every cluster. It requires every order word after every iteration,
+// and the Accepted totals, to agree, and the settled flags to survive
+// the clean-to-clean write-back. Its phases are several times the draw
 // buffer, and at two workers each grab spans more than one buffer too.
 func TestUpdatePhaseMatchesPerClusterReference(t *testing.T) {
 	in := tsplib.Generate("two-pass", 3000, tsplib.StyleClustered, 5)
@@ -116,7 +123,7 @@ func TestUpdatePhaseMatchesPerClusterReference(t *testing.T) {
 			if longest := len(ex.plan.steps[0].phase); longest <= 4*drawBatch {
 				t.Fatalf("phase of %d clusters does not exceed the draw buffer", longest)
 			}
-			var refProposed, refAccepted int64
+			var refAccepted int64
 			temp := metropolisTemp(got)
 			wbs := updateWriteBacks(t, &o)
 			iters := span * len(wbs)
@@ -147,9 +154,9 @@ func TestUpdatePhaseMatchesPerClusterReference(t *testing.T) {
 					job.phase = st.phase
 					ex.runStep(job, st)
 					for _, ci := range st.phase {
-						p, a := updateCluster(ref, ci, job.key, &o, job.epoch, job.temp)
-						refProposed += int64(p)
-						refAccepted += int64(a)
+						if updateCluster(ref, ci, job.key, &o, job.epoch, job.temp) {
+							refAccepted++
+						}
 					}
 				}
 				for ci := range ref.orders {
@@ -162,9 +169,8 @@ func TestUpdatePhaseMatchesPerClusterReference(t *testing.T) {
 			var stats Stats
 			ex.mergeShards(&stats)
 			ex.close()
-			if stats.Proposed != refProposed || stats.Accepted != refAccepted {
-				t.Fatalf("%v workers=%d: proposed/accepted %d/%d, reference %d/%d",
-					mode, workers, stats.Proposed, stats.Accepted, refProposed, refAccepted)
+			if stats.Accepted != refAccepted {
+				t.Fatalf("%v workers=%d: accepted %d, reference %d", mode, workers, stats.Accepted, refAccepted)
 			}
 			if refAccepted == 0 {
 				t.Fatalf("%v workers=%d: no swap accepted, so the orders pinned nothing", mode, workers)
@@ -259,18 +265,53 @@ func TestSettledWindowsAreUphill(t *testing.T) {
 	}
 }
 
+// drawLevel lays out a level of nc clusters of the given sizes with
+// windows that hold no weights, and settles every window for which
+// settle reports true: with every ΔH 0, probing all of a window's slot
+// pairs settles it.
+func drawLevel(sizes []uint8, settle func(ci int) bool) *levelState {
+	nc := len(sizes)
+	state := &levelState{sizes: sizes, orders: make([]cim.Order, nc)}
+	shapes := make([]cim.Shape, nc)
+	for ci, p := range sizes {
+		state.orders[ci] = cim.IdentityOrder(int(p))
+		shapes[ci] = cim.Shape{P: int(p), PPrev: int(sizes[(ci+nc-1)%nc]), PNext: int(sizes[(ci+1)%nc])}
+	}
+	state.chip = cim.NewLevel(shapes)
+	state.chip.Settles = true
+	for ci, p := range sizes {
+		if !settle(ci) {
+			continue
+		}
+		for j := 1; j < int(p); j++ {
+			for i := 0; i < j; i++ {
+				state.chip.SwapDelta(ci, state.orders[ci], -1, -1, i, j)
+			}
+		}
+	}
+	return state
+}
+
 // TestDrawPassMatchesProposal pins drawPass's inlined hash and direct
 // remainders to the proposal oracle for every cluster size 2 to 8 over
-// many keys: each batch must keep exactly the oracle's draws with
-// i != j, in batch order, each with its clusterKey.
+// many keys, with every third window settled: each batch must buffer
+// exactly the oracle's draws of the unsettled clusters, in batch order,
+// each with i != j, and nothing for a settled one.
 func TestDrawPassMatchesProposal(t *testing.T) {
-	// Cluster ci has 2 + ci%7 children, so every batch mixes all sizes.
+	// Cluster ci has 2 + ci%7 children, so every batch mixes all sizes,
+	// settled and not.
 	const nc = 7 * drawBatch
-	state := &levelState{sizes: make([]uint8, nc)}
+	sizes := make([]uint8, nc)
 	phase := make([]int, nc)
 	for ci := range phase {
-		state.sizes[ci] = uint8(2 + ci%7)
+		sizes[ci] = uint8(2 + ci%7)
 		phase[ci] = ci
+	}
+	state := drawLevel(sizes, func(ci int) bool { return ci%3 == 0 })
+	for ci := range phase {
+		if state.chip.Settled(ci) != (ci%3 == 0) {
+			t.Fatalf("cluster %d: settled %v", ci, state.chip.Settled(ci))
+		}
 	}
 	var buf [drawBatch]draw
 	draws := 0
@@ -283,21 +324,23 @@ func TestDrawPassMatchesProposal(t *testing.T) {
 					n := drawPass(state, batch, key, &buf)
 					k := 0
 					for _, ci := range batch {
-						hc := clusterKey(key, ci)
-						i, j := proposal(hc, int(state.sizes[ci]))
-						if i == j {
+						if ci%3 == 0 {
 							continue
 						}
-						want := draw{hc: hc, ci: int32(ci), i: uint8(i), j: uint8(j)}
+						i, j := proposal(clusterKey(key, ci), int(sizes[ci]))
+						want := draw{ci: int32(ci), i: uint8(i), j: uint8(j)}
 						if k >= n || buf[k] != want {
 							t.Fatalf("seed %d level %d iter %d cluster %d: draw %d of %d is %+v, oracle %+v",
 								seed, level, iter, ci, k, n, buf[min(k, n)], want)
+						}
+						if i == j || i >= int(sizes[ci]) || j >= int(sizes[ci]) {
+							t.Fatalf("cluster %d of %d children drew (%d, %d)", ci, sizes[ci], i, j)
 						}
 						k++
 						draws++
 					}
 					if k != n {
-						t.Fatalf("seed %d level %d iter %d: drawPass kept %d draws, oracle %d", seed, level, iter, n, k)
+						t.Fatalf("seed %d level %d iter %d: drawPass buffered %d draws, oracle %d", seed, level, iter, n, k)
 					}
 				}
 			}
@@ -305,6 +348,92 @@ func TestDrawPassMatchesProposal(t *testing.T) {
 	}
 	if draws < 100000 {
 		t.Fatalf("only %d draws compared", draws)
+	}
+}
+
+// TestDrawPairsUniform is a chi-square test of drawPass's ordered slot
+// pairs for each cluster size p = 3..8: 200,000 draws (5,000 clusters
+// over 40 iterations of one seed and level) fall into p(p−1) cells, and
+// the statistic must stay below the chi-square quantile whose upper
+// tail is 10⁻⁴ at p(p−1) − 1 degrees of freedom. The seeds are fixed,
+// so the test is deterministic; a uniform draw would fail one of the
+// six sizes for at most 6 in 10⁴ choices of seed.
+func TestDrawPairsUniform(t *testing.T) {
+	// limits[p-3] is the 1 − 10⁻⁴ quantile of chi-square with p(p−1) − 1
+	// degrees of freedom.
+	limits := [...]float64{25.74, 37.37, 50.80, 66.15, 83.47, 102.78}
+	const nc, iters = 5000, 40
+	phase := make([]int, nc)
+	for ci := range phase {
+		phase[ci] = ci
+	}
+	for p := 3; p <= 8; p++ {
+		sizes := make([]uint8, nc)
+		for ci := range sizes {
+			sizes[ci] = uint8(p)
+		}
+		state := drawLevel(sizes, func(int) bool { return false })
+		counts := make([]float64, p*p)
+		var buf [drawBatch]draw
+		for iter := 0; iter < iters; iter++ {
+			key := iterKey(uint64(p)*1000003, 4, iter)
+			for start := 0; start < nc; start += drawBatch {
+				n := drawPass(state, phase[start:min(start+drawBatch, nc)], key, &buf)
+				for _, d := range buf[:n] {
+					counts[int(d.i)*p+int(d.j)]++
+				}
+			}
+		}
+		expect := float64(nc*iters) / float64(p*(p-1))
+		chi := 0.0
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				c := counts[i*p+j]
+				if i == j {
+					if c != 0 {
+						t.Fatalf("p=%d: %v draws of the pair (%d, %d)", p, c, i, j)
+					}
+					continue
+				}
+				chi += (c - expect) * (c - expect) / expect
+			}
+		}
+		if chi > limits[p-3] {
+			t.Errorf("p=%d: chi-square %.2f on %d dof exceeds %.2f", p, chi, p*(p-1)-1, limits[p-3])
+		}
+		t.Logf("p=%d: chi-square %.2f on %d dof (limit %.2f)", p, chi, p*(p-1)-1, limits[p-3])
+	}
+}
+
+// TestProposedIsClusterCycles checks Stats.Proposed against its closed
+// form: every annealed level proposes once per iteration for each
+// cluster of two or more children, settled or not.
+func TestProposedIsClusterCycles(t *testing.T) {
+	in := tsplib.Generate("proposed", 3000, tsplib.StyleClustered, 5)
+	for _, strategy := range []cluster.Strategy{{Kind: cluster.SemiFlex, P: 2}, {Kind: cluster.SemiFlex, P: 3}, {Kind: cluster.SemiFlex, P: 4}} {
+		for _, mode := range []Mode{ModeNoisyCIM, ModeMetropolis} {
+			o := solveOpts(mode, 3)
+			o.Strategy = strategy
+			res, err := Solve(in, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := cluster.Build(in.Cities, strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(0)
+			for li := 1; li < h.NumLevels(); li++ {
+				for _, n := range h.Levels[li] {
+					if len(n.Children) >= 2 {
+						want += int64(o.withDefaults().Schedule.TotalIters())
+					}
+				}
+			}
+			if res.Stats.Proposed != want || want == 0 {
+				t.Fatalf("%+v %v: Proposed %d, closed form %d", strategy, mode, res.Stats.Proposed, want)
+			}
+		}
 	}
 }
 
