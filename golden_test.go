@@ -14,10 +14,8 @@ import (
 // values means the SRAM fabric's read math, seed derivation, or the
 // proposal stream drifted — which silently invalidates every cached
 // result and every published quality number unless SolverVersion
-// moves with it. The values were captured before the Fabric interface
-// extraction and regenerated once since, for solver version tsp/v2,
-// whose draw proposes a swap on every cycle (pcb300-default did not
-// move).
+// moves with it: regenerate them only together with a SolverVersion
+// bump.
 type goldenCase struct {
 	name     string
 	n        int
