@@ -422,11 +422,12 @@ func TestProposedIsClusterCycles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			iters := int64(o.withDefaults().Schedule.TotalIters())
 			want := int64(0)
 			for li := 1; li < h.NumLevels(); li++ {
 				for _, n := range h.Levels[li] {
 					if len(n.Children) >= 2 {
-						want += int64(o.withDefaults().Schedule.TotalIters())
+						want += iters
 					}
 				}
 			}
