@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"io/fs"
@@ -132,7 +133,6 @@ func TestVerifyRejectsMismatches(t *testing.T) {
 			exp.FabricParams = "max=0.1 v50=0.43 slope=20 seed=9"
 		},
 		"fabric-version": func(s *Snapshot, exp *Expect, _ **tsplib.Instance) { exp.FabricVersion = "sram/v2" },
-		"solver-version": func(s *Snapshot, exp *Expect, _ **tsplib.Instance) { exp.SolverVersion = "tsp/v2" },
 		"rng-fingerprint": func(s *Snapshot, exp *Expect, _ **tsplib.Instance) {
 			s.RNG[2]++
 		},
@@ -193,19 +193,6 @@ func TestVerifyNamesSolverVersion(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesFormatVersion2: a file of the format before the
-// solver version field, with a valid checksum, is version skew.
-func TestDecodeRefusesFormatVersion2(t *testing.T) {
-	data := encodeBytes(t, testSnapshot(testInstance()))
-	old := append([]byte(nil), data[:len(data)-4]...)
-	binary.LittleEndian.PutUint32(old[8:], 2)
-	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
-	_, err := Decode(bytes.NewReader(old))
-	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "format version 2") {
-		t.Fatalf("format-2 file: got %v", err)
-	}
-}
-
 // TestFuzzCorpusRejected: every committed FuzzDecode input is refused
 // with ErrInvalid.
 func TestFuzzCorpusRejected(t *testing.T) {
@@ -249,12 +236,16 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatalf("bit flip at %d: got %v", pos, err)
 		}
 	}
-	// Version skew: a future format version is refused even with a
-	// recomputed checksum — no silent misreads of newer files.
-	skew := append([]byte(nil), data...)
-	skew[8] = 99
-	if _, err := Decode(bytes.NewReader(skew)); !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version skew: got %v", err)
+	// Version skew: a future format version, or format 2 from before the
+	// solver version field, is refused even with a recomputed checksum —
+	// no silent misreads of newer or older files.
+	for _, v := range []uint32{2, 99} {
+		skew := append([]byte(nil), data[:len(data)-4]...)
+		binary.LittleEndian.PutUint32(skew[8:], v)
+		skew = binary.LittleEndian.AppendUint32(skew, crc32.ChecksumIEEE(skew))
+		if _, err := Decode(bytes.NewReader(skew)); !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) {
+			t.Fatalf("version %d: got %v", v, err)
+		}
 	}
 	// Wrong magic.
 	mag := append([]byte(nil), data...)
